@@ -2,13 +2,11 @@
 //! HyperMapper-2.0-style constrained variant whose acquisition multiplies
 //! expected improvement by a feasibility probability.
 
-use crate::{random_point, step, step_batch, DseTechnique};
-use edse_core::cost::Trace;
-use edse_core::evaluate::Evaluator;
+use crate::{penalized_cost, random_point, DseTechnique, Problem};
+use edse_core::cost::Evaluation;
 use edse_core::space::{DesignPoint, DesignSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// Gaussian process with an RBF kernel over normalized parameter indices.
 ///
@@ -181,36 +179,49 @@ fn expected_improvement(mean: f64, std: f64, best: f64) -> f64 {
 
 /// Shared BO skeleton: initial random design, then GP-EI acquisition over a
 /// random candidate pool, with optional feasibility weighting.
-fn run_bo(
-    evaluator: &dyn Evaluator,
-    budget: usize,
-    rng: &mut StdRng,
-    name: &str,
+#[derive(Debug, Clone)]
+struct Bo {
+    rng: StdRng,
     feasibility_aware: bool,
-) -> Trace {
-    let start = Instant::now();
-    let space = evaluator.space().clone();
-    let mut trace = Trace::new(name);
+    /// Normalized points observed this run.
+    xs: Vec<Vec<f64>>,
+    /// Their log penalized costs (the penalized range spans orders of
+    /// magnitude).
+    ys: Vec<f64>,
+    /// Whether each was feasible.
+    feas: Vec<bool>,
+}
 
-    let init = (budget / 5).clamp(3, 20).min(budget);
-    let mut xs: Vec<Vec<f64>> = Vec::new();
-    let mut ys: Vec<f64> = Vec::new();
-    let mut feas: Vec<bool> = Vec::new();
-
-    // Initial design: feedback-free, evaluated as one batch.
-    let design: Vec<DesignPoint> = (0..init).map(|_| random_point(&space, rng)).collect();
-    for (p, cost) in design
-        .iter()
-        .zip(step_batch(evaluator, &mut trace, &design))
-    {
-        xs.push(normalize(&space, p));
-        // Fit the GP on log cost: the penalized range spans orders of
-        // magnitude.
-        ys.push(cost.max(1e-12).ln());
-        feas.push(cost < 1e12);
+impl Bo {
+    fn new(seed: u64, feasibility_aware: bool) -> Bo {
+        Bo {
+            rng: StdRng::seed_from_u64(seed),
+            feasibility_aware,
+            xs: Vec::new(),
+            ys: Vec::new(),
+            feas: Vec::new(),
+        }
     }
 
-    while trace.evaluations() < budget {
+    fn start(&mut self) {
+        self.xs.clear();
+        self.ys.clear();
+        self.feas.clear();
+    }
+
+    fn propose(&mut self, problem: &Problem) -> Vec<DesignPoint> {
+        let space = problem.space;
+        if self.xs.is_empty() {
+            // Initial design: feedback-free, one batch.
+            let init = (problem.budget / 5).clamp(3, 20).min(problem.budget);
+            return (0..init)
+                .map(|_| random_point(space, &mut self.rng))
+                .collect();
+        }
+        if problem.spent() {
+            return Vec::new();
+        }
+        let (xs, ys) = (&self.xs, &self.ys);
         // Subsample history for the GP (keep the most recent + best).
         const MAX_GP: usize = 120;
         let (gx, gy): (Vec<Vec<f64>>, Vec<f64>) = if xs.len() > MAX_GP {
@@ -225,18 +236,18 @@ fn run_bo(
         let pool = 256;
         let mut best_cand: Option<(DesignPoint, f64)> = None;
         for _ in 0..pool {
-            let cand = random_point(&space, rng);
-            let q = normalize(&space, &cand);
+            let cand = random_point(space, &mut self.rng);
+            let q = normalize(space, &cand);
             let score = match &gp {
                 Some(gp) => {
                     let (m, s) = gp.predict(&q);
                     let mut ei = expected_improvement(m, s, best);
-                    if feasibility_aware {
+                    if self.feasibility_aware {
                         // k-NN feasibility probability (HyperMapper's
                         // feasibility classifier stand-in).
                         let mut dists: Vec<(f64, bool)> = xs
                             .iter()
-                            .zip(&feas)
+                            .zip(&self.feas)
                             .map(|(x, f)| {
                                 let d: f64 = x.iter().zip(&q).map(|(a, b)| (a - b).powi(2)).sum();
                                 (d, *f)
@@ -257,27 +268,31 @@ fn run_bo(
             }
         }
         let (cand, _) = best_cand.expect("pool non-empty");
-        let cost = step(evaluator, &mut trace, &cand);
-        xs.push(normalize(&space, &cand));
-        ys.push(cost.max(1e-12).ln());
-        feas.push(cost < 1e12);
+        vec![cand]
     }
-    trace.wall_seconds = start.elapsed().as_secs_f64();
-    trace
+
+    fn observe(&mut self, problem: &Problem, points: &[DesignPoint], evaluations: &[Evaluation]) {
+        for (p, eval) in points.iter().zip(evaluations) {
+            let cost = penalized_cost(eval, problem.constraints);
+            self.xs.push(normalize(problem.space, p));
+            self.ys.push(cost.max(1e-12).ln());
+            self.feas.push(cost < 1e12);
+        }
+    }
 }
 
 /// Vanilla Bayesian optimization (GP + expected improvement), the
 /// `fmfn/BayesianOptimization`-style baseline.
 #[derive(Debug, Clone)]
 pub struct BayesianOpt {
-    rng: StdRng,
+    bo: Bo,
 }
 
 impl BayesianOpt {
     /// A BO run with the given seed.
     pub fn new(seed: u64) -> Self {
         Self {
-            rng: StdRng::seed_from_u64(seed),
+            bo: Bo::new(seed, false),
         }
     }
 }
@@ -287,8 +302,16 @@ impl DseTechnique for BayesianOpt {
         "bayesian".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        run_bo(evaluator, budget, &mut self.rng, "bayesian", false)
+    fn start(&mut self, _problem: &Problem) {
+        self.bo.start();
+    }
+
+    fn propose(&mut self, problem: &Problem) -> Vec<DesignPoint> {
+        self.bo.propose(problem)
+    }
+
+    fn observe(&mut self, problem: &Problem, points: &[DesignPoint], evaluations: &[Evaluation]) {
+        self.bo.observe(problem, points, evaluations);
     }
 }
 
@@ -296,14 +319,14 @@ impl DseTechnique for BayesianOpt {
 /// improvement weighted by a feasibility classifier.
 #[derive(Debug, Clone)]
 pub struct HyperMapperLike {
-    rng: StdRng,
+    bo: Bo,
 }
 
 impl HyperMapperLike {
     /// A constrained-BO run with the given seed.
     pub fn new(seed: u64) -> Self {
         Self {
-            rng: StdRng::seed_from_u64(seed),
+            bo: Bo::new(seed, true),
         }
     }
 }
@@ -313,8 +336,16 @@ impl DseTechnique for HyperMapperLike {
         "hypermapper".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        run_bo(evaluator, budget, &mut self.rng, "hypermapper", true)
+    fn start(&mut self, _problem: &Problem) {
+        self.bo.start();
+    }
+
+    fn propose(&mut self, problem: &Problem) -> Vec<DesignPoint> {
+        self.bo.propose(problem)
+    }
+
+    fn observe(&mut self, problem: &Problem, points: &[DesignPoint], evaluations: &[Evaluation]) {
+        self.bo.observe(problem, points, evaluations);
     }
 }
 

@@ -3,15 +3,11 @@
 //! for further black-box refinement, and black-box techniques can be
 //! chained with each other.
 
-use crate::{random_point, step, DseTechnique};
-use edse_core::bottleneck::dnn_latency_model;
-use edse_core::cost::Trace;
-use edse_core::dse::DseConfig;
-use edse_core::evaluate::Evaluator;
+use crate::{penalized_cost, random_point, DseTechnique, Problem};
+use edse_core::cost::{Evaluation, Trace};
 use edse_core::space::DesignPoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// Chains two phases: any warm-up technique followed by a refinement
 /// technique whose exploration is biased around the warm-up's best point.
@@ -22,8 +18,18 @@ use std::time::Instant;
 /// alludes to).
 pub struct WarmStartHybrid {
     warmup: Box<dyn DseTechnique>,
-    warmup_share: f64,
+    /// Share of the budget the warm-up gets; `None` gives it the whole
+    /// budget (it stops on its own, as a finished trace does).
+    warmup_share: Option<f64>,
     rng: StdRng,
+    /// Budget of the warm-up phase of the current run.
+    warm_budget: usize,
+    /// Whether the current run is still in its warm-up phase.
+    warming: bool,
+    /// Best feasible warm-up sample (point, objective), first on ties.
+    warm_best: Option<(DesignPoint, f64)>,
+    /// The refinement's incumbent and its penalized cost.
+    incumbent: Option<(DesignPoint, f64)>,
 }
 
 impl WarmStartHybrid {
@@ -35,10 +41,39 @@ impl WarmStartHybrid {
     /// Panics if `warmup_share` is not within `(0, 1)`.
     pub fn new(warmup: Box<dyn DseTechnique>, warmup_share: f64, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&warmup_share) && warmup_share > 0.0);
+        Self::with_warmup(warmup, Some(warmup_share), seed)
+    }
+
+    /// A hybrid whose warm-up is a finished exploration — for example an
+    /// explainable search, `SearchSession::run(..).into_trace()`. The run
+    /// re-evaluates the trace's points as its first batch (cache hits on
+    /// the evaluator that produced them), then refines around their best
+    /// feasible point for the rest of the budget.
+    pub fn from_trace(trace: Trace, seed: u64) -> Self {
+        let replay = Replay {
+            name: trace.technique,
+            points: trace.samples.into_iter().map(|s| s.point).collect(),
+        };
+        Self::with_warmup(Box::new(replay), None, seed)
+    }
+
+    fn with_warmup(warmup: Box<dyn DseTechnique>, warmup_share: Option<f64>, seed: u64) -> Self {
         Self {
             warmup,
             warmup_share,
             rng: StdRng::seed_from_u64(seed),
+            warm_budget: 0,
+            warming: true,
+            warm_best: None,
+            incumbent: None,
+        }
+    }
+
+    /// The problem as the warm-up phase sees it: its share of the budget.
+    fn warm_problem<'a>(&self, problem: &Problem<'a>) -> Problem<'a> {
+        Problem {
+            budget: self.warm_budget,
+            ..*problem
         }
     }
 }
@@ -48,81 +83,89 @@ impl DseTechnique for WarmStartHybrid {
         format!("{}+refine", self.warmup.name())
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let warm_budget = ((budget as f64 * self.warmup_share) as usize)
-            .max(1)
-            .min(budget);
-        let mut trace = self.warmup.run(evaluator, warm_budget);
-        trace.technique = self.name();
+    fn start(&mut self, problem: &Problem) {
+        let budget = problem.budget;
+        self.warm_budget = self.warmup_share.map_or(budget, |share| {
+            ((budget as f64 * share) as usize).max(1).min(budget)
+        });
+        self.warming = true;
+        self.warm_best = None;
+        self.incumbent = None;
+        let warm = self.warm_problem(problem);
+        self.warmup.start(&warm);
+    }
 
-        let mut incumbent = trace
-            .best_feasible()
-            .map(|s| s.point.clone())
-            .unwrap_or_else(|| random_point(&space, &mut self.rng));
-        let mut incumbent_cost = f64::INFINITY;
-
-        while trace.evaluations() < budget {
-            // Redraw 1-3 parameters of the incumbent.
-            let mut cand = incumbent.clone();
-            let moves = self.rng.gen_range(1..=3usize);
-            for _ in 0..moves {
-                let p = self.rng.gen_range(0..space.len());
-                let idx = self.rng.gen_range(0..space.param(p).len());
-                cand = cand.with_index(p, idx);
+    fn propose(&mut self, problem: &Problem) -> Vec<DesignPoint> {
+        if self.warming {
+            let batch = self.warmup.propose(&self.warm_problem(problem));
+            if !batch.is_empty() {
+                return batch;
             }
-            let cost = step(evaluator, &mut trace, &cand);
-            if cost < incumbent_cost {
-                incumbent_cost = cost;
-                incumbent = cand;
+            self.warming = false;
+            let start = match self.warm_best.take() {
+                Some((point, _)) => point,
+                None => random_point(problem.space, &mut self.rng),
+            };
+            self.incumbent = Some((start, f64::INFINITY));
+        }
+        if problem.spent() {
+            return Vec::new();
+        }
+        let (incumbent, _) = self.incumbent.as_ref().expect("set when warm-up ends");
+        // Redraw 1-3 parameters of the incumbent.
+        let mut cand = incumbent.clone();
+        let moves = self.rng.gen_range(1..=3usize);
+        for _ in 0..moves {
+            let p = self.rng.gen_range(0..problem.space.len());
+            let idx = self.rng.gen_range(0..problem.space.param(p).len());
+            cand = cand.with_index(p, idx);
+        }
+        vec![cand]
+    }
+
+    fn observe(&mut self, problem: &Problem, points: &[DesignPoint], evaluations: &[Evaluation]) {
+        if self.warming {
+            let warm = self.warm_problem(problem);
+            self.warmup.observe(&warm, points, evaluations);
+            for (point, eval) in points.iter().zip(evaluations) {
+                let better = self
+                    .warm_best
+                    .as_ref()
+                    .is_none_or(|(_, best)| eval.objective < *best);
+                if eval.feasible(problem.constraints) && better {
+                    self.warm_best = Some((point.clone(), eval.objective));
+                }
+            }
+            return;
+        }
+        let (incumbent, incumbent_cost) = self.incumbent.as_mut().expect("set when warm-up ends");
+        for (point, eval) in points.iter().zip(evaluations) {
+            let cost = penalized_cost(eval, problem.constraints);
+            if cost < *incumbent_cost {
+                *incumbent_cost = cost;
+                *incumbent = point.clone();
             }
         }
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
     }
 }
 
-/// Explainable-DSE as a [`DseTechnique`], so it can warm-start hybrids and
-/// participate in any baseline-style harness. Uses the standard DNN
-/// latency bottleneck model.
-pub struct ExplainableTechnique {
-    config: DseConfig,
+/// A finished exploration re-proposed as one batch: the warm-up of
+/// [`WarmStartHybrid::from_trace`].
+struct Replay {
+    name: String,
+    points: Vec<DesignPoint>,
 }
 
-impl ExplainableTechnique {
-    /// Wraps Explainable-DSE with the given seed (other knobs default).
-    pub fn new(seed: u64) -> Self {
-        Self {
-            config: DseConfig {
-                seed,
-                ..DseConfig::default()
-            },
-        }
-    }
-
-    /// Wraps Explainable-DSE with an explicit configuration.
-    pub fn with_config(config: DseConfig) -> Self {
-        Self { config }
-    }
-}
-
-impl DseTechnique for ExplainableTechnique {
+impl DseTechnique for Replay {
     fn name(&self) -> String {
-        "explainable".into()
+        self.name.clone()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let session = edse_core::SearchSession::new(
-            dnn_latency_model(),
-            DseConfig {
-                budget,
-                ..self.config.clone()
-            },
-        )
-        .evaluator(evaluator);
-        let initial: DesignPoint = evaluator.space().minimum_point();
-        session.run(initial).into_trace()
+    fn propose(&mut self, problem: &Problem) -> Vec<DesignPoint> {
+        if problem.evaluations > 0 {
+            return Vec::new();
+        }
+        self.points.iter().take(problem.budget).cloned().collect()
     }
 }
 
@@ -130,8 +173,11 @@ impl DseTechnique for ExplainableTechnique {
 mod tests {
     use super::*;
     use crate::RandomSearch;
-    use edse_core::evaluate::CodesignEvaluator;
+    use edse_core::bottleneck::dnn_latency_model;
+    use edse_core::dse::DseConfig;
+    use edse_core::evaluate::{CodesignEvaluator, Evaluator};
     use edse_core::space::edge_space;
+    use edse_core::SearchSession;
     use mapper::FixedMapper;
     use workloads::zoo;
 
@@ -151,15 +197,27 @@ mod tests {
     fn explainable_warmup_hands_off_a_feasible_incumbent() {
         // §B: the explainable phase lands a feasible point quickly; the
         // refinement phase may only improve on it.
-        let mut h = WarmStartHybrid::new(Box::new(ExplainableTechnique::new(1)), 0.5, 1);
         let ev = evaluator();
+        let config = DseConfig {
+            seed: 1,
+            budget: 80,
+            ..DseConfig::default()
+        };
+        let warm_only = SearchSession::new(dnn_latency_model(), config)
+            .evaluator(&ev)
+            .run(ev.space().minimum_point())
+            .into_trace();
+        let mut h = WarmStartHybrid::from_trace(warm_only.clone(), 1);
         let trace = h.run(&ev, 160);
+        assert_eq!(trace.technique, "explainable+refine");
+        assert_eq!(
+            trace.samples[..warm_only.evaluations()],
+            warm_only.samples[..],
+            "the warm-up samples lead the hybrid's trace"
+        );
         let best = trace
             .best_feasible()
             .expect("hybrid finds a feasible design");
-        // Compare with warmup-only at the same share of budget.
-        let ev2 = evaluator();
-        let warm_only = ExplainableTechnique::new(1).run(&ev2, 80);
         if let Some(w) = warm_only.best_feasible() {
             assert!(
                 best.objective <= w.objective + 1e-9,

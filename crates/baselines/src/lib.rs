@@ -9,6 +9,13 @@
 //! and report the same [`edse_core::cost::Trace`] format as the explainable
 //! DSE, so every figure compares like with like.
 //!
+//! Every technique is an ask/tell state machine ([`DseTechnique`]): it
+//! proposes a batch of points, is told their evaluations, and proposes the
+//! next batch. One loop drives that protocol for all three entry points —
+//! [`DseTechnique::run`], [`BaselineSession::run`] and
+//! [`BaselineDriver::step`] — so a stepped run does exactly the work of a
+//! blocking one.
+//!
 //! # Example
 //!
 //! ```
@@ -31,50 +38,284 @@ pub mod sensitivity;
 pub mod simple;
 
 pub use bo::{BayesianOpt, HyperMapperLike};
-pub use hybrid::{ExplainableTechnique, WarmStartHybrid};
+pub use hybrid::WarmStartHybrid;
 pub use rl::ConfuciuxRl;
 pub use sensitivity::SensitivityGuided;
 pub use simple::{GeneticAlgorithm, GridSearch, RandomSearch, SimulatedAnnealing};
 
-use edse_core::checkpoint::{load_baseline, CheckpointingEvaluator};
+use edse_core::checkpoint::{load_baseline, save_baseline, BaselineSnapshot};
 use edse_core::cost::{Constraint, Evaluation, Sample, Trace};
-use edse_core::evaluate::{CacheSnapshot, CacheStats, Evaluator};
-use edse_core::fault::EvalFault;
+use edse_core::evaluate::Evaluator;
 use edse_core::space::{DesignPoint, DesignSpace};
 use edse_core::{CancelToken, JobSpec, StepOutcome};
 use edse_telemetry::{Collector, Level};
-use std::cell::RefCell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::Instant;
 
-/// A DSE technique: explores for `budget` unique evaluations and returns
-/// the full trace.
-pub trait DseTechnique {
+/// What a technique may read about the run it is in: the problem, and how
+/// many samples the run has evaluated so far.
+#[derive(Debug, Clone, Copy)]
+pub struct Problem<'a> {
+    /// The space points are drawn from.
+    pub space: &'a DesignSpace,
+    /// The constraints a feasible point meets.
+    pub constraints: &'a [Constraint],
+    /// How many samples the run may evaluate.
+    pub budget: usize,
+    /// How many samples the run has evaluated so far.
+    pub evaluations: usize,
+}
+
+impl Problem<'_> {
+    /// Whether the run has used its whole budget.
+    pub fn spent(&self) -> bool {
+        self.evaluations >= self.budget
+    }
+}
+
+/// A DSE technique as an ask/tell state machine: [`DseTechnique::propose`]
+/// asks for the next batch of points to evaluate, and
+/// [`DseTechnique::observe`] tells the technique their evaluations.
+///
+/// A run calls [`DseTechnique::start`] once, then alternates `propose` and
+/// `observe` until `propose` returns an empty batch. Points within one batch
+/// never depend on each other's results, so a parallel evaluator evaluates
+/// a batch at once without changing any result.
+pub trait DseTechnique: Send {
     /// Technique name for reports, e.g. `"random"`.
     fn name(&self) -> String;
 
-    /// Runs the exploration against an evaluator. Feedback-free stages
-    /// (initial designs, whole non-adaptive sweeps) go through
-    /// [`Evaluator::evaluate_batch`], so a parallel evaluator speeds them
-    /// up without changing any result.
+    /// Begins a fresh run, discarding the state of any earlier one (random
+    /// number generators carry on where they were). Techniques with
+    /// per-run state override it; the default does nothing.
+    fn start(&mut self, problem: &Problem) {
+        let _ = problem;
+    }
+
+    /// The next batch of points to evaluate; empty when the run is over.
+    fn propose(&mut self, problem: &Problem) -> Vec<DesignPoint>;
+
+    /// The evaluations of the batch the last `propose` returned, in its
+    /// order (`problem.evaluations` does not count them yet). Techniques
+    /// without feedback keep the default, which ignores them.
+    fn observe(&mut self, problem: &Problem, points: &[DesignPoint], evaluations: &[Evaluation]) {
+        let _ = (problem, points, evaluations);
+    }
+
+    /// Runs the technique to the end against an evaluator and returns the
+    /// trace. Provided, and not meant to be overridden: it is the same
+    /// loop [`BaselineSession`] and [`BaselineDriver`] drive.
     ///
     /// For telemetry (a `baseline/<name>` span plus per-sample iteration
     /// records) and checkpoint/resume, run the technique through
     /// [`BaselineSession`] instead of calling this directly.
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace;
+    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
+        let mut run = AskTell::new(self, evaluator, budget, Collector::noop());
+        while run.round(self, evaluator) {}
+        run.trace
+    }
+}
+
+/// The penalized scalar cost every feedback technique optimizes: the
+/// objective for feasible points; a large violation-scaled penalty
+/// otherwise, so unconstrained optimizers still feel constraint pressure
+/// the way the paper's penalized baselines do.
+pub(crate) fn penalized_cost(evaluation: &Evaluation, constraints: &[Constraint]) -> f64 {
+    if evaluation.feasible(constraints) {
+        evaluation.objective
+    } else {
+        let budget = evaluation.constraint_budget(constraints);
+        // Infeasible points rank strictly worse than any feasible one and
+        // worse the deeper the violation.
+        if budget.is_finite() {
+            1e12 * (1.0 + budget)
+        } else {
+            1e15
+        }
+    }
+}
+
+/// The one propose → evaluate → observe loop: it owns the trace, streams
+/// an iteration record per sample, and snapshots the evaluator caches at
+/// batch boundaries.
+struct AskTell {
+    trace: Trace,
+    budget: usize,
+    telemetry: Collector,
+    checkpoint: Option<Checkpoint>,
+}
+
+/// Where and how often an [`AskTell`] loop snapshots the evaluator caches.
+struct Checkpoint {
+    path: PathBuf,
+    every: usize,
+    /// Unique evaluations at the last snapshot.
+    saved_at: usize,
+}
+
+impl AskTell {
+    /// Starts `technique` on a run of `budget` evaluations.
+    fn new<T: DseTechnique + ?Sized>(
+        technique: &mut T,
+        evaluator: &dyn Evaluator,
+        budget: usize,
+        telemetry: Collector,
+    ) -> AskTell {
+        technique.start(&Problem {
+            space: evaluator.space(),
+            constraints: evaluator.constraints(),
+            budget,
+            evaluations: 0,
+        });
+        AskTell {
+            trace: Trace::new(technique.name()),
+            budget,
+            telemetry,
+            checkpoint: None,
+        }
+    }
+
+    /// Snapshots to `path` whenever `every` (at least 1) new unique
+    /// evaluations have accrued since the last snapshot. With `resume`
+    /// and an existing snapshot, first restores the evaluator caches from
+    /// it, so re-running the loop answers every completed evaluation from
+    /// cache.
+    ///
+    /// # Errors
+    ///
+    /// A resume snapshot that cannot be loaded, or that records another
+    /// technique or budget: re-running is only bit-identical when it
+    /// repeats the interrupted run exactly, so a mismatch is refused
+    /// rather than silently recomputed.
+    fn checkpoint(
+        &mut self,
+        evaluator: &dyn Evaluator,
+        path: &Path,
+        every: usize,
+        resume: bool,
+    ) -> Result<(), String> {
+        if resume && path.exists() {
+            let snapshot = self.load(path)?;
+            evaluator.restore_caches(&snapshot.caches);
+            self.telemetry.log(
+                Level::Info,
+                &format!(
+                    "resumed baseline {} from {} with {} cached evaluations",
+                    self.trace.technique,
+                    path.display(),
+                    snapshot.caches.unique_evaluations
+                ),
+            );
+        }
+        self.checkpoint = Some(Checkpoint {
+            path: path.to_path_buf(),
+            every: every.max(1),
+            saved_at: 0,
+        });
+        Ok(())
+    }
+
+    /// Loads the snapshot at `path` and checks it records this run.
+    fn load(&self, path: &Path) -> Result<BaselineSnapshot, String> {
+        let snapshot = load_baseline(path).map_err(|e| format!("cannot resume baseline: {e}"))?;
+        if snapshot.technique != self.trace.technique {
+            return Err(format!(
+                "cannot resume baseline: snapshot records technique {:?}, this run is {:?}",
+                snapshot.technique, self.trace.technique
+            ));
+        }
+        if snapshot.budget != self.budget {
+            return Err(format!(
+                "cannot resume baseline: snapshot records budget {}, this run has {}",
+                snapshot.budget, self.budget
+            ));
+        }
+        Ok(snapshot)
+    }
+
+    /// One round: asks `technique` for a batch, evaluates it, and tells the
+    /// technique the results. Returns `false`, having done nothing, once
+    /// the technique proposes an empty batch.
+    fn round<T: DseTechnique + ?Sized>(
+        &mut self,
+        technique: &mut T,
+        evaluator: &dyn Evaluator,
+    ) -> bool {
+        let started = Instant::now();
+        let problem = Problem {
+            space: evaluator.space(),
+            constraints: evaluator.constraints(),
+            budget: self.budget,
+            evaluations: self.trace.evaluations(),
+        };
+        let points = technique.propose(&problem);
+        if points.is_empty() {
+            return false;
+        }
+        let evaluations = evaluator.evaluate_batch(&points);
+        technique.observe(&problem, &points, &evaluations);
+        let emitted = self.trace.samples.len();
+        self.trace
+            .samples
+            .extend(
+                points
+                    .into_iter()
+                    .zip(evaluations)
+                    .map(|(point, eval)| Sample {
+                        feasible: eval.feasible(problem.constraints),
+                        point,
+                        objective: eval.objective,
+                        constraint_values: eval.constraint_values,
+                    }),
+            );
+        self.trace
+            .emit_iteration_records_from(&self.telemetry, self.budget, emitted);
+        if let Some(checkpoint) = &self.checkpoint {
+            let uniques = evaluator.unique_evaluations();
+            if uniques >= checkpoint.saved_at + checkpoint.every {
+                self.save(evaluator);
+            }
+        }
+        self.trace.wall_seconds += started.elapsed().as_secs_f64();
+        true
+    }
+
+    /// Snapshots the evaluator caches now when checkpointing is on; returns
+    /// whether a save was attempted. A failed save is counted
+    /// (`checkpoint/save_failures`) and logged, never raised: losing a
+    /// snapshot must not kill the run it exists to protect.
+    fn save(&mut self, evaluator: &dyn Evaluator) -> bool {
+        let Some(checkpoint) = &mut self.checkpoint else {
+            return false;
+        };
+        checkpoint.saved_at = evaluator.unique_evaluations();
+        let snapshot = BaselineSnapshot {
+            technique: self.trace.technique.clone(),
+            budget: self.budget,
+            caches: evaluator.cache_snapshot(),
+        };
+        match save_baseline(&checkpoint.path, &snapshot) {
+            Ok(()) => self.telemetry.counter("checkpoint/saves", 1),
+            Err(e) => {
+                self.telemetry.counter("checkpoint/save_failures", 1);
+                self.telemetry
+                    .log(Level::Warn, &format!("checkpoint save failed: {e}"));
+            }
+        }
+        true
+    }
 }
 
 /// Builder and runner for one baseline exploration: telemetry plus
 /// checkpoint/resume for any [`DseTechnique`], mirroring
 /// `edse_core::SearchSession` for the explainable search.
 ///
-/// Baselines are black boxes, so there is no mid-search state to
-/// serialize; instead the session checkpoints the *evaluator caches*
-/// (every [`BaselineSession::checkpoint_every`] unique evaluations, via
-/// [`CheckpointingEvaluator`]) and resumes by replay: the caches are
-/// restored and the deterministic technique re-runs from scratch, with
-/// every already-completed evaluation answered from cache. The resumed
-/// trace is bit-for-bit identical to the uninterrupted one.
+/// With a checkpoint path the session snapshots the *evaluator caches* at
+/// batch boundaries, once every `checkpoint_every` new unique evaluations
+/// and at the end. Resuming restores those caches and runs the
+/// deterministic technique from the start: every evaluation the
+/// interrupted run completed is answered from cache, and the resumed trace
+/// is bit-for-bit identical to the uninterrupted one.
 ///
 /// ```
 /// use baselines::{BaselineSession, RandomSearch};
@@ -127,93 +368,28 @@ impl<'t> BaselineSession<'t> {
         self
     }
 
-    /// Enables checkpointing of the evaluator caches to `path`.
-    #[deprecated(since = "0.8.0", note = "set `JobSpec::checkpoint` and use `spec()`")]
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Snapshot cadence in unique evaluations (default 10; clamped to at
-    /// least 1).
-    #[deprecated(
-        since = "0.8.0",
-        note = "set `JobSpec::checkpoint_every` and use `spec()`"
-    )]
-    pub fn checkpoint_every(mut self, every: usize) -> Self {
-        self.checkpoint_every = every.max(1);
-        self
-    }
-
-    /// When enabled (with a checkpoint path), restores the snapshot's
-    /// evaluator caches before running, if the snapshot file exists;
-    /// starts fresh when it does not.
-    #[deprecated(since = "0.8.0", note = "set `JobSpec::resume` and use `spec()`")]
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// Runs the technique for `budget` unique evaluations.
+    /// Runs the technique for `budget` evaluations.
     ///
     /// # Panics
     ///
     /// Panics when resume is enabled and the snapshot file exists but
     /// cannot be loaded, or records a different technique or budget than
-    /// this run — replay-resume is only bit-identical when the re-run
-    /// matches the interrupted run exactly, so a mismatch is surfaced
-    /// loudly rather than silently recomputing.
+    /// this run (use [`BaselineDriver::try_new`] to get the error instead).
     pub fn run(self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let name = self.technique.name();
-        if let (Some(path), true) = (&self.checkpoint, self.resume) {
-            if path.exists() {
-                let snapshot =
-                    load_baseline(path).unwrap_or_else(|e| panic!("cannot resume baseline: {e}"));
-                assert_eq!(
-                    snapshot.technique, name,
-                    "cannot resume baseline: snapshot records technique {:?}, this run is {:?}",
-                    snapshot.technique, name
-                );
-                assert_eq!(
-                    snapshot.budget, budget,
-                    "cannot resume baseline: snapshot records budget {}, this run has {}",
-                    snapshot.budget, budget
-                );
-                evaluator.restore_caches(&snapshot.caches);
-                self.telemetry.log(
-                    Level::Info,
-                    &format!(
-                        "resumed baseline {name} from {} with {} cached evaluations",
-                        path.display(),
-                        snapshot.caches.unique_evaluations
-                    ),
-                );
-            }
+        let technique = self.technique;
+        let mut run = AskTell::new(&mut *technique, evaluator, budget, self.telemetry);
+        if let Some(path) = &self.checkpoint {
+            run.checkpoint(evaluator, path, self.checkpoint_every, self.resume)
+                .unwrap_or_else(|e| panic!("{e}"));
         }
-        let trace = match &self.checkpoint {
-            Some(path) => {
-                let guarded = CheckpointingEvaluator::new(
-                    evaluator,
-                    path.clone(),
-                    self.checkpoint_every,
-                    name.clone(),
-                    budget,
-                    self.telemetry.clone(),
-                );
-                let trace = {
-                    let _span = self.telemetry.span(&format!("baseline/{name}"));
-                    self.technique.run(&guarded, budget)
-                };
-                guarded.save();
-                trace
-            }
-            None => {
-                let _span = self.telemetry.span(&format!("baseline/{name}"));
-                self.technique.run(evaluator, budget)
-            }
-        };
-        trace.emit_iteration_records(&self.telemetry, budget);
-        trace
+        {
+            let _span = run
+                .telemetry
+                .span(&format!("baseline/{}", run.trace.technique));
+            while run.round(&mut *technique, evaluator) {}
+        }
+        run.save(evaluator);
+        run.trace
     }
 }
 
@@ -222,101 +398,66 @@ impl<'t> BaselineSession<'t> {
 /// [`StepOutcome`]/[`CancelToken`] protocol so a scheduler can interleave
 /// explainable and baseline jobs uniformly.
 ///
-/// Baselines are black boxes with no mid-search state to hand back, so the
-/// driver steps by *replay chunks*: each [`BaselineDriver::step`] builds a
-/// fresh technique from a deterministic factory and re-runs it against the
-/// **full** budget — several techniques plan from the budget (grid strides,
-/// cooling schedules, generation counts), so handing them a partial budget
-/// would change their decisions — but the replay is stopped, by unwinding
-/// out of the evaluator, once it has performed one chunk of *new*
-/// evaluations. Every evaluation completed by earlier steps is answered
-/// from the evaluator's caches, so a replay costs cache lookups plus one
-/// chunk of new evaluations, and the final trace is bit-for-bit identical
-/// to an uninterrupted [`BaselineSession::run`] (the same property behind
-/// replay-resume, enforced by the conformance driver oracle
-/// `driver_stepping_matches_blocking_run`). Iteration records stream
-/// incrementally: each step emits only the samples it appended.
-pub struct BaselineDriver<E, F> {
-    factory: F,
+/// The driver keeps the technique between steps, and each
+/// [`BaselineDriver::step`] is one round of the loop behind
+/// [`BaselineSession::run`]: one proposed batch, evaluated and observed.
+/// A stepped run therefore does exactly the work of a blocking one, and
+/// its trace is bit-for-bit identical (enforced by the conformance oracle
+/// `driver_stepping_matches_blocking_run`). Each step streams the
+/// iteration records of the samples it appended.
+pub struct BaselineDriver<E> {
+    technique: Box<dyn DseTechnique>,
     evaluator: E,
-    budget: usize,
-    chunk: usize,
-    telemetry: Collector,
-    checkpoint: Option<PathBuf>,
-    checkpoint_every: usize,
+    run: AskTell,
     cancel: CancelToken,
-    trace: Trace,
-    emitted: usize,
     outcome: Option<StepOutcome>,
-    name: String,
 }
 
-impl<E, F> BaselineDriver<E, F>
-where
-    E: Evaluator,
-    F: Fn() -> Box<dyn DseTechnique>,
-{
-    /// Starts a driver around a deterministic technique factory: every
-    /// call to `factory` must produce an identically-configured technique
-    /// (same kind, same seed), because each step replays the search from
-    /// scratch against the warm caches.
+impl<E: Evaluator> BaselineDriver<E> {
+    /// Starts a driver on the technique `factory` builds, for `budget`
+    /// evaluations, with the checkpoint policy of `spec`.
     ///
     /// # Panics
     ///
-    /// Panics when [`JobSpec::resume`] is set and the snapshot file exists
-    /// but cannot be loaded, or records a different technique or budget —
-    /// the same loud mismatch policy as [`BaselineSession::run`].
-    pub fn new(factory: F, evaluator: E, budget: usize, spec: &JobSpec) -> Self {
-        let name = factory().name();
-        let telemetry = Collector::noop();
-        let driver = BaselineDriver {
-            factory,
-            evaluator,
-            budget,
-            chunk: 10,
-            telemetry,
-            checkpoint: spec.checkpoint.clone(),
-            checkpoint_every: spec.checkpoint_every.max(1),
-            cancel: CancelToken::new(),
-            trace: Trace::new(name.clone()),
-            emitted: 0,
-            outcome: None,
-            name,
-        };
-        if spec.resume {
-            if let Some(path) = &driver.checkpoint {
-                if path.exists() {
-                    let snapshot = load_baseline(path)
-                        .unwrap_or_else(|e| panic!("cannot resume baseline: {e}"));
-                    assert_eq!(
-                        snapshot.technique, driver.name,
-                        "cannot resume baseline: snapshot records technique {:?}, this run is {:?}",
-                        snapshot.technique, driver.name
-                    );
-                    assert_eq!(
-                        snapshot.budget, budget,
-                        "cannot resume baseline: snapshot records budget {}, this run has {}",
-                        snapshot.budget, budget
-                    );
-                    driver.evaluator.restore_caches(&snapshot.caches);
-                }
-            }
+    /// Panics where [`BaselineDriver::try_new`] returns an error.
+    pub fn new<F>(factory: F, evaluator: E, budget: usize, spec: &JobSpec) -> Self
+    where
+        F: FnOnce() -> Box<dyn DseTechnique>,
+    {
+        Self::try_new(factory(), evaluator, budget, spec).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Starts a driver on `technique`, for `budget` evaluations, with the
+    /// checkpoint policy of `spec`. With [`JobSpec::resume`] and an
+    /// existing snapshot, the evaluator caches are restored from it first.
+    ///
+    /// # Errors
+    ///
+    /// The resume snapshot exists but cannot be loaded, or records a
+    /// different technique or budget.
+    pub fn try_new(
+        mut technique: Box<dyn DseTechnique>,
+        evaluator: E,
+        budget: usize,
+        spec: &JobSpec,
+    ) -> Result<Self, String> {
+        let mut run = AskTell::new(technique.as_mut(), &evaluator, budget, Collector::noop());
+        if let Some(path) = &spec.checkpoint {
+            run.checkpoint(&evaluator, path, spec.checkpoint_every, spec.resume)?;
         }
-        driver
+        Ok(BaselineDriver {
+            technique,
+            evaluator,
+            run,
+            cancel: CancelToken::new(),
+            outcome: None,
+        })
     }
 
     /// Attaches a telemetry collector: each step then streams the
     /// iteration records of the samples it appended.
     pub fn telemetry(mut self, telemetry: Collector) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Replay-chunk size: how many *new* samples one [`BaselineDriver::step`]
-    /// targets (default 10; clamped to at least 1). Smaller chunks react
-    /// to cancellation faster at the price of more replay overhead.
-    pub fn chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
+        self.run.telemetry = telemetry;
         self
     }
 
@@ -332,78 +473,32 @@ where
         self.cancel.clone()
     }
 
-    /// Advances the exploration by one replay chunk. Checks the
-    /// [`CancelToken`] first: when it has fired, no chunk runs, the
-    /// evaluator caches are snapshotted if checkpointing is configured,
-    /// and [`StepOutcome::Cancelled`] is returned. After termination (or a
-    /// cancel) further calls are no-ops returning the same outcome.
+    /// Advances the exploration by one batch. Checks the [`CancelToken`]
+    /// first: when it has fired, no batch runs, the evaluator caches are
+    /// snapshotted if checkpointing is configured, and
+    /// [`StepOutcome::Cancelled`] is returned. The step on which the
+    /// technique proposes nothing more snapshots too and returns
+    /// [`StepOutcome::Done`]. After either, further calls are no-ops
+    /// returning the same outcome.
     pub fn step(&mut self) -> StepOutcome {
         if let Some(outcome) = self.outcome {
             return outcome;
         }
-        if self.cancel.is_cancelled() {
-            self.snapshot();
-            self.outcome = Some(StepOutcome::Cancelled);
-            return StepOutcome::Cancelled;
-        }
-        let mut technique = (self.factory)();
-        let (trace, done) = match &self.checkpoint {
-            Some(path) => {
-                let guarded = CheckpointingEvaluator::new(
-                    &self.evaluator,
-                    path.clone(),
-                    self.checkpoint_every,
-                    self.name.clone(),
-                    self.budget,
-                    self.telemetry.clone(),
-                );
-                let limited = ChunkLimited::new(&guarded, self.chunk);
-                let run = {
-                    let _span = self.telemetry.span(&format!("baseline/{}", self.name));
-                    catch_unwind(AssertUnwindSafe(|| technique.run(&limited, self.budget)))
-                };
-                guarded.save();
-                Self::replay_outcome(run, limited, &self.name)
-            }
-            None => {
-                let limited = ChunkLimited::new(&self.evaluator, self.chunk);
-                let run = {
-                    let _span = self.telemetry.span(&format!("baseline/{}", self.name));
-                    catch_unwind(AssertUnwindSafe(|| technique.run(&limited, self.budget)))
-                };
-                Self::replay_outcome(run, limited, &self.name)
-            }
-        };
-        self.trace = trace;
-        self.trace
-            .emit_iteration_records_from(&self.telemetry, self.budget, self.emitted);
-        self.emitted = self.trace.samples.len();
-        if done {
-            self.outcome = Some(StepOutcome::Done);
-            StepOutcome::Done
+        let outcome = if self.cancel.is_cancelled() {
+            StepOutcome::Cancelled
         } else {
-            StepOutcome::Pending
-        }
-    }
-
-    /// Interprets one replay: a normal return is the complete run (the
-    /// technique hit its own termination against the full budget); a
-    /// [`ChunkDone`] unwind yields the prefix trace the adapter recorded;
-    /// any other panic is a real failure and is re-raised.
-    fn replay_outcome<I: Evaluator>(
-        run: std::thread::Result<Trace>,
-        limited: ChunkLimited<'_, I>,
-        name: &str,
-    ) -> (Trace, bool) {
-        match run {
-            Ok(trace) => (trace, true),
-            Err(payload) => {
-                if payload.downcast_ref::<ChunkDone>().is_none() {
-                    resume_unwind(payload);
-                }
-                (limited.into_trace(name), false)
+            let _span = self
+                .run
+                .telemetry
+                .span(&format!("baseline/{}", self.run.trace.technique));
+            if self.run.round(self.technique.as_mut(), &self.evaluator) {
+                return StepOutcome::Pending;
             }
-        }
+            StepOutcome::Done
+        };
+        self.snapshot();
+        self.outcome = Some(outcome);
+        outcome
     }
 
     /// Steps until the exploration terminates or the token fires, then
@@ -416,19 +511,7 @@ where
     /// Writes an evaluator-cache snapshot now when checkpointing is
     /// configured; a no-op otherwise. Returns whether a save was attempted.
     pub fn snapshot(&mut self) -> bool {
-        let Some(path) = self.checkpoint.clone() else {
-            return false;
-        };
-        let guarded = CheckpointingEvaluator::new(
-            &self.evaluator,
-            path,
-            self.checkpoint_every,
-            self.name.clone(),
-            self.budget,
-            self.telemetry.clone(),
-        );
-        guarded.save();
-        true
+        self.run.save(&self.evaluator)
     }
 
     /// Whether the exploration has terminated or been cancelled.
@@ -436,19 +519,19 @@ where
         self.outcome.is_some()
     }
 
-    /// Unique evaluations recorded so far.
+    /// Samples evaluated so far.
     pub fn evaluations(&self) -> usize {
-        self.trace.evaluations()
+        self.run.trace.evaluations()
     }
 
     /// Objective of the best feasible sample so far, if any.
     pub fn best_objective(&self) -> Option<f64> {
-        self.trace.best_feasible().map(|s| s.objective)
+        self.best().map(|s| s.objective)
     }
 
     /// Best feasible sample so far, if any.
     pub fn best(&self) -> Option<&Sample> {
-        self.trace.best_feasible()
+        self.run.trace.best_feasible()
     }
 
     /// The evaluator the driver owns.
@@ -458,181 +541,12 @@ where
 
     /// Consumes the driver, yielding the trace explored so far.
     pub fn finish(self) -> Trace {
-        self.trace
+        self.run.trace
     }
-}
-
-/// Unwind payload used by [`ChunkLimited`] to stop a replay once its chunk
-/// of new evaluations is complete. Never escapes [`BaselineDriver::step`].
-struct ChunkDone;
-
-/// Evaluator adapter behind [`BaselineDriver::step`]: forwards to `inner`,
-/// records every evaluated sample (so an aborted replay still yields the
-/// trace prefix the technique had built), and unwinds with [`ChunkDone`]
-/// once `inner` has performed `limit` *new* evaluations since the adapter
-/// was built. The check runs before each call, never mid-batch, so batch
-/// results — and therefore the eventual full trace — are untouched.
-struct ChunkLimited<'e, E> {
-    inner: &'e E,
-    base: usize,
-    limit: usize,
-    log: RefCell<Vec<Sample>>,
-}
-
-impl<'e, E: Evaluator> ChunkLimited<'e, E> {
-    fn new(inner: &'e E, limit: usize) -> Self {
-        ChunkLimited {
-            inner,
-            base: inner.unique_evaluations(),
-            limit: limit.max(1),
-            log: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Unwinds out of the replay when the chunk is spent. Uses
-    /// `resume_unwind` (not a panic) so the per-step abort is silent —
-    /// it must not trip the panic hook once per scheduler step.
-    fn check(&self) {
-        if self.inner.unique_evaluations() - self.base >= self.limit {
-            resume_unwind(Box::new(ChunkDone));
-        }
-    }
-
-    fn record(&self, point: &DesignPoint, eval: &Evaluation) {
-        let feasible = eval.feasible(self.inner.constraints());
-        self.log.borrow_mut().push(Sample {
-            point: point.clone(),
-            objective: eval.objective,
-            constraint_values: eval.constraint_values.clone(),
-            feasible,
-        });
-    }
-
-    /// The prefix trace of the aborted replay, in evaluation order.
-    fn into_trace(self, name: &str) -> Trace {
-        let mut trace = Trace::new(name);
-        trace.samples = self.log.into_inner();
-        trace
-    }
-}
-
-impl<E: Evaluator> Evaluator for ChunkLimited<'_, E> {
-    fn evaluate(&self, point: &DesignPoint) -> Evaluation {
-        self.check();
-        let eval = self.inner.evaluate(point);
-        self.record(point, &eval);
-        eval
-    }
-
-    fn evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Evaluation> {
-        self.check();
-        let evals = self.inner.evaluate_batch(points);
-        for (point, eval) in points.iter().zip(&evals) {
-            self.record(point, eval);
-        }
-        evals
-    }
-
-    fn try_evaluate(&self, point: &DesignPoint) -> Result<Evaluation, EvalFault> {
-        self.check();
-        let result = self.inner.try_evaluate(point);
-        if let Ok(eval) = &result {
-            self.record(point, eval);
-        }
-        result
-    }
-
-    fn try_evaluate_batch(&self, points: &[DesignPoint]) -> Vec<Result<Evaluation, EvalFault>> {
-        self.check();
-        let results = self.inner.try_evaluate_batch(points);
-        for (point, result) in points.iter().zip(&results) {
-            if let Ok(eval) = result {
-                self.record(point, eval);
-            }
-        }
-        results
-    }
-
-    fn space(&self) -> &DesignSpace {
-        self.inner.space()
-    }
-
-    fn constraints(&self) -> &[Constraint] {
-        self.inner.constraints()
-    }
-
-    fn unique_evaluations(&self) -> usize {
-        self.inner.unique_evaluations()
-    }
-
-    fn decode(&self, point: &DesignPoint) -> accel_model::AcceleratorConfig {
-        self.inner.decode(point)
-    }
-
-    fn cache_snapshot(&self) -> CacheSnapshot {
-        self.inner.cache_snapshot()
-    }
-
-    fn restore_caches(&self, snapshot: &CacheSnapshot) {
-        self.inner.restore_caches(snapshot)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.inner.cache_stats()
-    }
-}
-
-/// Evaluates a point, appends it to the trace, and returns its penalized
-/// scalar cost (shared by all baselines): the objective for feasible
-/// points; a large violation-scaled penalty otherwise, so unconstrained
-/// optimizers still feel constraint pressure the way the paper's penalized
-/// baselines do.
-pub(crate) fn step(evaluator: &dyn Evaluator, trace: &mut Trace, point: &DesignPoint) -> f64 {
-    step_batch(evaluator, trace, std::slice::from_ref(point))[0]
-}
-
-/// Batch counterpart of [`step`]: evaluates all points through
-/// [`Evaluator::evaluate_batch`], records them in input order, and returns
-/// their penalized costs. Identical results to calling [`step`] per point.
-pub(crate) fn step_batch(
-    evaluator: &dyn Evaluator,
-    trace: &mut Trace,
-    points: &[DesignPoint],
-) -> Vec<f64> {
-    let constraints = evaluator.constraints().to_vec();
-    let evals = evaluator.evaluate_batch(points);
-    points
-        .iter()
-        .zip(evals)
-        .map(|(point, eval)| {
-            let feasible = eval.feasible(&constraints);
-            trace.samples.push(Sample {
-                point: point.clone(),
-                objective: eval.objective,
-                constraint_values: eval.constraint_values.clone(),
-                feasible,
-            });
-            if feasible {
-                eval.objective
-            } else {
-                let budget = eval.constraint_budget(&constraints);
-                // Infeasible points rank strictly worse than any feasible
-                // one and worse the deeper the violation.
-                if budget.is_finite() {
-                    1e12 * (1.0 + budget)
-                } else {
-                    1e15
-                }
-            }
-        })
-        .collect()
 }
 
 /// Uniformly random point in a space.
-pub(crate) fn random_point(
-    space: &edse_core::space::DesignSpace,
-    rng: &mut rand::rngs::StdRng,
-) -> DesignPoint {
+pub(crate) fn random_point(space: &DesignSpace, rng: &mut rand::rngs::StdRng) -> DesignPoint {
     use rand::Rng;
     DesignPoint::new(
         space
@@ -763,39 +677,41 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("random.ckpt.json");
+        let path = dir.join("annealing.ckpt.json");
         let budget = 14;
+        let spec = JobSpec {
+            checkpoint: Some(path.clone()),
+            checkpoint_every: 3,
+            ..JobSpec::default()
+        };
 
-        let mut technique = RandomSearch::new(9);
+        let mut technique = SimulatedAnnealing::new(9);
         let uninterrupted = BaselineSession::new(&mut technique).run(&evaluator(), budget);
 
-        // "Interrupted" run: checkpoint every 3 unique evaluations, but
-        // stop the technique early by shrinking its budget — the snapshot
-        // still records the full budget so a resume can check it.
+        // "Interrupted" run: a driver snapshotting every 3 unique
+        // evaluations, abandoned halfway through the budget.
         {
-            let ev = evaluator();
-            let guarded = edse_core::CheckpointingEvaluator::new(
-                &ev,
-                path.clone(),
-                3,
-                "random",
+            let mut driver = BaselineDriver::new(
+                || Box::new(SimulatedAnnealing::new(9)),
+                evaluator(),
                 budget,
-                Collector::noop(),
+                &spec,
             );
-            let _partial = RandomSearch::new(9).run(&guarded, budget / 2);
+            while driver.evaluations() < budget / 2 {
+                assert_eq!(driver.step(), StepOutcome::Pending);
+            }
+            assert!(driver.evaluator().unique_evaluations() < budget);
         }
         assert!(path.exists(), "interrupted run must leave a snapshot");
 
-        // Resume: restore caches, replay from scratch against a mapper
-        // that would give different answers if re-consulted for cached
-        // layers — replay must hit only the cache for the first half.
+        // Resume: restore caches and re-run from the start; the completed
+        // evaluations are answered from cache.
         let ev = evaluator();
-        let mut technique = RandomSearch::new(9);
+        let mut technique = SimulatedAnnealing::new(9);
         let resumed = BaselineSession::new(&mut technique)
             .spec(&JobSpec {
-                checkpoint: Some(path.clone()),
                 resume: true,
-                ..JobSpec::default()
+                ..spec.clone()
             })
             .run(&ev, budget);
         assert_eq!(
@@ -805,13 +721,12 @@ mod tests {
 
         // A mismatched budget must refuse to resume rather than silently
         // replay a different search.
-        let mut technique = RandomSearch::new(9);
+        let mut technique = SimulatedAnnealing::new(9);
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             BaselineSession::new(&mut technique)
                 .spec(&JobSpec {
-                    checkpoint: Some(path.clone()),
                     resume: true,
-                    ..JobSpec::default()
+                    ..spec.clone()
                 })
                 .run(&evaluator(), budget + 1)
         }));
@@ -821,12 +736,55 @@ mod tests {
     }
 
     #[test]
+    fn driver_refuses_unloadable_or_foreign_snapshots_with_an_error() {
+        let dir = std::env::temp_dir().join(format!(
+            "edse-baseline-refuse-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snapshot.json");
+        let spec = JobSpec {
+            checkpoint: Some(path.clone()),
+            resume: true,
+            ..JobSpec::default()
+        };
+        let try_new = |technique: Box<dyn DseTechnique>, budget| {
+            BaselineDriver::try_new(technique, evaluator(), budget, &spec).map(|_| ())
+        };
+
+        std::fs::write(&path, "{ not json").unwrap();
+        let err = try_new(Box::new(RandomSearch::new(1)), 10).unwrap_err();
+        assert!(err.starts_with("cannot resume baseline"), "{err}");
+
+        // A snapshot of a random search at budget 10...
+        std::fs::remove_file(&path).unwrap();
+        let mut driver = BaselineDriver::new(
+            || Box::new(RandomSearch::new(1)),
+            evaluator(),
+            10,
+            &JobSpec {
+                resume: false,
+                ..spec.clone()
+            },
+        );
+        while driver.step() == StepOutcome::Pending {}
+        assert!(path.exists());
+        // ...resumes the same run, and refuses another technique or budget.
+        assert!(try_new(Box::new(RandomSearch::new(1)), 10).is_ok());
+        let err = try_new(Box::new(GridSearch), 10).unwrap_err();
+        assert!(err.contains("technique"), "{err}");
+        let err = try_new(Box::new(RandomSearch::new(1)), 11).unwrap_err();
+        assert!(err.contains("budget"), "{err}");
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn penalized_cost_orders_infeasible_below_feasible() {
         let ev = evaluator();
-        let mut trace = Trace::new("test");
         // Minimum point: infeasible (violates the throughput floor).
-        let bad = ev.space().minimum_point();
-        let cost = step(&ev, &mut trace, &bad);
-        assert!(cost >= 1e12);
+        let bad = ev.evaluate(&ev.space().minimum_point());
+        assert!(penalized_cost(&bad, ev.constraints()) >= 1e12);
     }
 }

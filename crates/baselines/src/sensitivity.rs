@@ -8,13 +8,11 @@
 //! moves the most promising parameter in its improving direction, and
 //! periodically re-probes a random parameter so stale estimates recover.
 
-use crate::{random_point, step, DseTechnique};
-use edse_core::cost::Trace;
-use edse_core::evaluate::Evaluator;
+use crate::{penalized_cost, random_point, DseTechnique, Problem};
+use edse_core::cost::Evaluation;
 use edse_core::space::DesignPoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// The gray-box sensitivity-guided explorer.
 #[derive(Debug, Clone)]
@@ -24,6 +22,17 @@ pub struct SensitivityGuided {
     explore_prob: f64,
     /// EWMA smoothing factor for sensitivity updates.
     alpha: f64,
+    /// The current point and its cost; `None` until the run's first sample
+    /// is observed.
+    current: Option<(DesignPoint, f64)>,
+    /// Per parameter: estimated |improvement| per step.
+    gain: Vec<f64>,
+    /// Per parameter: the direction to move it next.
+    dir: Vec<isize>,
+    /// The parameter the pending candidate moved.
+    moved: usize,
+    /// Whether the pending point is a restart rather than a move.
+    restart: bool,
 }
 
 impl SensitivityGuided {
@@ -33,6 +42,11 @@ impl SensitivityGuided {
             rng: StdRng::seed_from_u64(seed),
             explore_prob: 0.2,
             alpha: 0.5,
+            current: None,
+            gain: Vec::new(),
+            dir: Vec::new(),
+            moved: 0,
+            restart: false,
         }
     }
 }
@@ -42,19 +56,25 @@ impl DseTechnique for SensitivityGuided {
         "sensitivity".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let mut trace = Trace::new(self.name());
+    fn start(&mut self, problem: &Problem) {
+        let n = problem.space.len();
+        self.current = None;
+        self.gain = vec![f64::INFINITY; n]; // optimistic init
+        self.dir = vec![1; n];
+        self.restart = false;
+    }
 
-        let mut current: DesignPoint = space.minimum_point();
-        let mut current_cost = step(evaluator, &mut trace, &current);
-
-        // Per parameter: (estimated |improvement| per step, best direction).
-        let mut gain: Vec<f64> = vec![f64::INFINITY; space.len()]; // optimistic init
-        let mut dir: Vec<isize> = vec![1; space.len()];
-
-        while trace.evaluations() < budget {
+    fn propose(&mut self, problem: &Problem) -> Vec<DesignPoint> {
+        let space = problem.space;
+        let Some((current, _)) = &self.current else {
+            return vec![space.minimum_point()];
+        };
+        // Occasional restart once every direction looks exhausted.
+        if self.restart {
+            return vec![random_point(space, &mut self.rng)];
+        }
+        let (gain, dir) = (&mut self.gain, &mut self.dir);
+        while !problem.spent() {
             // Pick the parameter with the highest estimated gain (ties and
             // unprobed parameters first thanks to the optimistic init), or
             // explore randomly.
@@ -80,35 +100,44 @@ impl DseTechnique for SensitivityGuided {
                     continue;
                 }
             }
-            let cand = current.with_index(p, next as usize);
-            let cost = step(evaluator, &mut trace, &cand);
-
-            // Update the sensitivity estimate from the observed delta.
-            let improvement = current_cost - cost;
-            let observed = improvement.abs();
-            gain[p] = if gain[p].is_finite() {
-                self.alpha * observed + (1.0 - self.alpha) * gain[p]
-            } else {
-                observed
-            };
-            if improvement > 0.0 {
-                current = cand;
-                current_cost = cost;
-            } else {
-                // Wrong direction: flip and decay the estimate.
-                dir[p] = -dir[p];
-                gain[p] *= 0.5;
-            }
-
-            // Occasional restart if every direction looks exhausted.
-            if gain.iter().all(|g| *g <= 1e-12) {
-                current = random_point(&space, &mut self.rng);
-                current_cost = step(evaluator, &mut trace, &current);
-                gain.fill(f64::INFINITY);
-            }
+            self.moved = p;
+            return vec![current.with_index(p, next as usize)];
         }
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
+        Vec::new()
+    }
+
+    fn observe(&mut self, problem: &Problem, points: &[DesignPoint], evaluations: &[Evaluation]) {
+        let cost = penalized_cost(&evaluations[0], problem.constraints);
+        let Some((current, current_cost)) = &mut self.current else {
+            self.current = Some((points[0].clone(), cost));
+            return;
+        };
+        if self.restart {
+            *current = points[0].clone();
+            *current_cost = cost;
+            self.gain.fill(f64::INFINITY);
+            self.restart = false;
+            return;
+        }
+
+        // Update the sensitivity estimate from the observed delta.
+        let p = self.moved;
+        let improvement = *current_cost - cost;
+        let observed = improvement.abs();
+        self.gain[p] = if self.gain[p].is_finite() {
+            self.alpha * observed + (1.0 - self.alpha) * self.gain[p]
+        } else {
+            observed
+        };
+        if improvement > 0.0 {
+            *current = points[0].clone();
+            *current_cost = cost;
+        } else {
+            // Wrong direction: flip and decay the estimate.
+            self.dir[p] = -self.dir[p];
+            self.gain[p] *= 0.5;
+        }
+        self.restart = self.gain.iter().all(|g| *g <= 1e-12);
     }
 }
 

@@ -1,13 +1,11 @@
 //! Non-feedback and classic stochastic baselines: grid search, random
 //! search, simulated annealing, genetic algorithm.
 
-use crate::{random_point, step, step_batch, DseTechnique};
-use edse_core::cost::Trace;
-use edse_core::evaluate::Evaluator;
+use crate::{penalized_cost, random_point, DseTechnique, Problem};
+use edse_core::cost::Evaluation;
 use edse_core::space::DesignPoint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 /// Grid search: strides each parameter so the grid's size roughly matches
 /// the budget, then sweeps it (a non-feedback technique, Fig. 1a).
@@ -19,10 +17,13 @@ impl DseTechnique for GridSearch {
         "grid".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let mut trace = Trace::new(self.name());
+    /// The sweep has no feedback: the whole grid is one batch, proposed at
+    /// the start of the run.
+    fn propose(&mut self, problem: &Problem) -> Vec<DesignPoint> {
+        if problem.evaluations > 0 {
+            return Vec::new();
+        }
+        let (space, budget) = (problem.space, problem.budget);
 
         // Choose per-parameter sample counts so the product ~ budget:
         // repeatedly double the count of the parameter with the largest
@@ -41,8 +42,6 @@ impl DseTechnique for GridSearch {
             }
         }
 
-        // The sweep has no feedback: enumerate every grid point first, then
-        // evaluate the whole set as one batch.
         let mut points = Vec::new();
         let mut counter = vec![0usize; space.len()];
         'outer: loop {
@@ -74,9 +73,7 @@ impl DseTechnique for GridSearch {
             }
             break;
         }
-        step_batch(evaluator, &mut trace, &points);
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
+        points
     }
 }
 
@@ -100,17 +97,12 @@ impl DseTechnique for RandomSearch {
         "random".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let mut trace = Trace::new(self.name());
-        // No feedback: draw every point up front, evaluate as one batch.
-        let points: Vec<DesignPoint> = (0..budget)
-            .map(|_| random_point(&space, &mut self.rng))
-            .collect();
-        step_batch(evaluator, &mut trace, &points);
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
+    /// No feedback: the rest of the budget is one batch of independent
+    /// draws.
+    fn propose(&mut self, problem: &Problem) -> Vec<DesignPoint> {
+        (problem.evaluations..problem.budget)
+            .map(|_| random_point(problem.space, &mut self.rng))
+            .collect()
     }
 }
 
@@ -120,6 +112,11 @@ impl DseTechnique for RandomSearch {
 pub struct SimulatedAnnealing {
     rng: StdRng,
     initial_temp: f64,
+    /// The current state and its cost; `None` until the run's first sample
+    /// is observed.
+    current: Option<(DesignPoint, f64)>,
+    /// The temperature the pending neighbor is judged at.
+    temp: f64,
 }
 
 impl SimulatedAnnealing {
@@ -128,6 +125,8 @@ impl SimulatedAnnealing {
         Self {
             rng: StdRng::seed_from_u64(seed),
             initial_temp: 1.0,
+            current: None,
+            temp: 1.0,
         }
     }
 }
@@ -137,38 +136,45 @@ impl DseTechnique for SimulatedAnnealing {
         "annealing".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let mut trace = Trace::new(self.name());
+    fn start(&mut self, _problem: &Problem) {
+        self.current = None;
+    }
 
-        let mut current = random_point(&space, &mut self.rng);
-        let mut current_cost = step(evaluator, &mut trace, &current);
-        while trace.evaluations() < budget {
-            let temp =
-                self.initial_temp * (1.0 - trace.evaluations() as f64 / budget as f64).max(1e-3);
-            // Neighbor: move one random parameter by +-1 index.
-            let p = self.rng.gen_range(0..space.len());
-            let len = space.param(p).len();
-            let idx = current.index(p);
-            let next = if self.rng.gen::<bool>() && idx + 1 < len {
-                idx + 1
-            } else {
-                idx.saturating_sub(1)
-            };
-            let cand = current.with_index(p, next);
-            let cost = step(evaluator, &mut trace, &cand);
-            let accept = cost <= current_cost || {
-                let ratio = (current_cost - cost) / (current_cost.abs().max(1e-9) * temp);
-                self.rng.gen::<f64>() < ratio.exp()
-            };
-            if accept {
-                current = cand;
-                current_cost = cost;
-            }
+    fn propose(&mut self, problem: &Problem) -> Vec<DesignPoint> {
+        let Some((current, _)) = &self.current else {
+            return vec![random_point(problem.space, &mut self.rng)];
+        };
+        if problem.spent() {
+            return Vec::new();
         }
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
+        self.temp = self.initial_temp
+            * (1.0 - problem.evaluations as f64 / problem.budget as f64).max(1e-3);
+        // Neighbor: move one random parameter by +-1 index.
+        let p = self.rng.gen_range(0..problem.space.len());
+        let len = problem.space.param(p).len();
+        let idx = current.index(p);
+        let next = if self.rng.gen::<bool>() && idx + 1 < len {
+            idx + 1
+        } else {
+            idx.saturating_sub(1)
+        };
+        vec![current.with_index(p, next)]
+    }
+
+    fn observe(&mut self, problem: &Problem, points: &[DesignPoint], evaluations: &[Evaluation]) {
+        let cost = penalized_cost(&evaluations[0], problem.constraints);
+        let Some((current, current_cost)) = &mut self.current else {
+            self.current = Some((points[0].clone(), cost));
+            return;
+        };
+        let accept = cost <= *current_cost || {
+            let ratio = (*current_cost - cost) / (current_cost.abs().max(1e-9) * self.temp);
+            self.rng.gen::<f64>() < ratio.exp()
+        };
+        if accept {
+            *current = points[0].clone();
+            *current_cost = cost;
+        }
     }
 }
 
@@ -178,6 +184,9 @@ impl DseTechnique for SimulatedAnnealing {
 pub struct GeneticAlgorithm {
     population: usize,
     rng: StdRng,
+    /// Members and their costs; empty until the run's initial population
+    /// is observed.
+    pop: Vec<(DesignPoint, f64)>,
 }
 
 impl GeneticAlgorithm {
@@ -186,6 +195,7 @@ impl GeneticAlgorithm {
         Self {
             population: population.max(4),
             rng: StdRng::seed_from_u64(seed),
+            pop: Vec::new(),
         }
     }
 }
@@ -195,61 +205,72 @@ impl DseTechnique for GeneticAlgorithm {
         "genetic".into()
     }
 
-    fn run(&mut self, evaluator: &dyn Evaluator, budget: usize) -> Trace {
-        let start = Instant::now();
-        let space = evaluator.space().clone();
-        let mut trace = Trace::new(self.name());
+    fn start(&mut self, _problem: &Problem) {
+        self.pop.clear();
+    }
 
-        // Initial population: no feedback between members, one batch.
-        let seeds: Vec<DesignPoint> = (0..self.population.min(budget))
-            .map(|_| random_point(&space, &mut self.rng))
-            .collect();
-        let costs = step_batch(evaluator, &mut trace, &seeds);
-        let mut pop: Vec<(DesignPoint, f64)> = seeds.into_iter().zip(costs).collect();
-
-        while trace.evaluations() < budget {
-            let pick = |rng: &mut StdRng, pop: &[(DesignPoint, f64)]| {
-                let a = rng.gen_range(0..pop.len());
-                let b = rng.gen_range(0..pop.len());
-                if pop[a].1 <= pop[b].1 {
-                    pop[a].0.clone()
-                } else {
-                    pop[b].0.clone()
-                }
-            };
-            let pa = pick(&mut self.rng, &pop);
-            let pb = pick(&mut self.rng, &pop);
-            // Uniform crossover + mutation.
-            let mut child: Vec<usize> = (0..space.len())
-                .map(|i| {
-                    if self.rng.gen::<bool>() {
-                        pa.index(i)
-                    } else {
-                        pb.index(i)
-                    }
-                })
+    fn propose(&mut self, problem: &Problem) -> Vec<DesignPoint> {
+        let space = problem.space;
+        if self.pop.is_empty() {
+            // Initial population: no feedback between members, one batch.
+            return (0..self.population.min(problem.budget))
+                .map(|_| random_point(space, &mut self.rng))
                 .collect();
-            for (i, gene) in child.iter_mut().enumerate() {
-                if self.rng.gen::<f64>() < 0.1 {
-                    *gene = self.rng.gen_range(0..space.param(i).len());
-                }
+        }
+        if problem.spent() {
+            return Vec::new();
+        }
+        let pick = |rng: &mut StdRng, pop: &[(DesignPoint, f64)]| {
+            let a = rng.gen_range(0..pop.len());
+            let b = rng.gen_range(0..pop.len());
+            if pop[a].1 <= pop[b].1 {
+                pop[a].0.clone()
+            } else {
+                pop[b].0.clone()
             }
-            let cand = DesignPoint::new(child);
-            let cost = step(evaluator, &mut trace, &cand);
-            // Replace the worst member if the child is better.
-            if let Some(worst) = pop
+        };
+        let pa = pick(&mut self.rng, &self.pop);
+        let pb = pick(&mut self.rng, &self.pop);
+        // Uniform crossover + mutation.
+        let mut child: Vec<usize> = (0..space.len())
+            .map(|i| {
+                if self.rng.gen::<bool>() {
+                    pa.index(i)
+                } else {
+                    pb.index(i)
+                }
+            })
+            .collect();
+        for (i, gene) in child.iter_mut().enumerate() {
+            if self.rng.gen::<f64>() < 0.1 {
+                *gene = self.rng.gen_range(0..space.param(i).len());
+            }
+        }
+        vec![DesignPoint::new(child)]
+    }
+
+    fn observe(&mut self, problem: &Problem, points: &[DesignPoint], evaluations: &[Evaluation]) {
+        let costs = evaluations
+            .iter()
+            .map(|e| penalized_cost(e, problem.constraints));
+        if self.pop.is_empty() {
+            self.pop = points.iter().cloned().zip(costs).collect();
+            return;
+        }
+        // Replace the worst member if the child is better.
+        for (cand, cost) in points.iter().zip(costs) {
+            if let Some(worst) = self
+                .pop
                 .iter()
                 .enumerate()
                 .max_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).unwrap())
                 .map(|(i, _)| i)
             {
-                if cost < pop[worst].1 {
-                    pop[worst] = (cand, cost);
+                if cost < self.pop[worst].1 {
+                    self.pop[worst] = (cand.clone(), cost);
                 }
             }
         }
-        trace.wall_seconds = start.elapsed().as_secs_f64();
-        trace
     }
 }
 

@@ -303,32 +303,6 @@ impl<C, E> SearchSession<C, E> {
         self.cancel = token;
         self
     }
-
-    /// Enables checkpointing to `path`.
-    #[deprecated(since = "0.8.0", note = "set `JobSpec::checkpoint` and use `spec()`")]
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Snapshot cadence in search steps (default 10; clamped to at least
-    /// 1). A *step* is one acquisition attempt or one phase start.
-    #[deprecated(
-        since = "0.8.0",
-        note = "set `JobSpec::checkpoint_every` and use `spec()`"
-    )]
-    pub fn checkpoint_every(mut self, every: usize) -> Self {
-        self.checkpoint_every = every.max(1);
-        self
-    }
-
-    /// When enabled (with a checkpoint path), the run resumes from the
-    /// snapshot file if it exists and starts fresh when it does not.
-    #[deprecated(since = "0.8.0", note = "set `JobSpec::resume` and use `spec()`")]
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
 }
 
 impl<C, E: Evaluator> SearchSession<C, E> {
@@ -347,11 +321,22 @@ impl<C, E: Evaluator> SearchSession<C, E> {
     /// # Panics
     ///
     /// Panics when resume is enabled and the snapshot file exists but
-    /// cannot be loaded — it is corrupt, has a different schema version, is
-    /// a baseline snapshot, or was produced under a different
-    /// [`DseConfig`]. Silently falling back to a fresh run would discard
-    /// the interrupted run's work, so the mismatch is surfaced loudly.
+    /// cannot be loaded (see [`SearchSession::try_driver`] for the cases).
     pub fn driver_with<F>(self, initial: DesignPoint, ctx_fn: F) -> SearchDriver<C, E, F>
+    where
+        F: Fn(&E, &DesignPoint, &LayerEval) -> Option<C>,
+    {
+        self.try_driver_with(initial, ctx_fn)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`SearchSession::driver_with`], returning an error instead of
+    /// panicking when the run cannot resume.
+    fn try_driver_with<F>(
+        self,
+        initial: DesignPoint,
+        ctx_fn: F,
+    ) -> Result<SearchDriver<C, E, F>, String>
     where
         F: Fn(&E, &DesignPoint, &LayerEval) -> Option<C>,
     {
@@ -359,7 +344,7 @@ impl<C, E: Evaluator> SearchSession<C, E> {
             (Some(path), true) if path.exists() => {
                 let _span = self.dse.telemetry.span("session/load_checkpoint");
                 let (state, caches) = checkpoint::load_search(path, &self.dse.config)
-                    .unwrap_or_else(|e| panic!("cannot resume search: {e}"));
+                    .map_err(|e| format!("cannot resume search: {e}"))?;
                 self.evaluator.restore_caches(&caches);
                 self.dse.telemetry.log(
                     Level::Info,
@@ -374,7 +359,7 @@ impl<C, E: Evaluator> SearchSession<C, E> {
             }
             _ => SearchState::new(initial),
         };
-        SearchDriver {
+        Ok(SearchDriver {
             dse: self.dse,
             evaluator: self.evaluator,
             ctx_fn,
@@ -386,7 +371,7 @@ impl<C, E: Evaluator> SearchSession<C, E> {
             cancel: self.cancel,
             started: Instant::now(),
             outcome: None,
-        }
+        })
     }
 
     /// Runs the search to completion with a custom bottleneck-context
@@ -411,6 +396,23 @@ impl<E: Evaluator> SearchSession<LayerCtx, E> {
     /// [`SearchSession::driver_with`] for the resume semantics and panics.
     pub fn driver(self, initial: DesignPoint) -> SearchDriver<LayerCtx, E, DnnCtxFn<E>> {
         self.driver_with(initial, dnn_ctx())
+    }
+
+    /// [`SearchSession::driver`], returning an error instead of panicking
+    /// when the run cannot resume.
+    ///
+    /// # Errors
+    ///
+    /// Resume is enabled and the snapshot file exists but cannot be
+    /// loaded — it is corrupt, has a different schema version, is a
+    /// baseline snapshot, or was produced under a different
+    /// [`DseConfig`]. Silently falling back to a fresh run would discard
+    /// the interrupted run's work, so the mismatch is surfaced instead.
+    pub fn try_driver(
+        self,
+        initial: DesignPoint,
+    ) -> Result<SearchDriver<LayerCtx, E, DnnCtxFn<E>>, String> {
+        self.try_driver_with(initial, dnn_ctx())
     }
 
     /// Runs the search to completion with the standard DNN-accelerator

@@ -5,8 +5,9 @@
 //! ([`baselines::BaselineDriver`]) — behind one object-safe trait, so the
 //! worker pool interleaves them without caring which is which. Both
 //! honor the same [`CancelToken`]/[`StepOutcome`] protocol: one `step` is
-//! at most one evaluation batch, which is the service's cancellation and
-//! fairness granularity.
+//! at most one evaluation batch — an explainable phase start or attempt,
+//! or one proposed batch of a baseline — which is the service's
+//! cancellation and fairness granularity.
 
 use baselines::{
     BaselineDriver, BayesianOpt, ConfuciuxRl, DseTechnique, GeneticAlgorithm, GridSearch,
@@ -110,14 +111,11 @@ impl JobDriver for ExplainableJob {
     }
 }
 
-/// The boxed technique factory baseline jobs replay from.
-type BoxedFactory = Box<dyn Fn() -> Box<dyn DseTechnique> + Send>;
-
 /// Baseline jobs: a [`JobDriver`] shim over [`BaselineDriver`] that also
 /// remembers the terminal outcome (the trace itself does not say whether
 /// it was cancelled).
 struct BaselineJob {
-    driver: BaselineDriver<JobEvaluator, BoxedFactory>,
+    driver: BaselineDriver<JobEvaluator>,
     technique: String,
     last: Option<StepOutcome>,
 }
@@ -209,22 +207,17 @@ fn build_mapper(spec: &JobSpec) -> Result<Box<dyn MappingOptimizer>, String> {
 
 /// The baseline-technique registry, mirroring the bench harness's
 /// labels. `None` for `"explainable"` (not a baseline) and unknown names.
-fn baseline_factory(technique: &str, seed: u64) -> Option<BoxedFactory> {
-    macro_rules! factory {
-        ($build:expr) => {
-            Some(Box::new(move || Box::new($build) as Box<dyn DseTechnique>) as BoxedFactory)
-        };
-    }
-    match technique {
-        "grid" => factory!(GridSearch),
-        "random" => factory!(RandomSearch::new(seed)),
-        "annealing" => factory!(SimulatedAnnealing::new(seed)),
-        "genetic" => factory!(GeneticAlgorithm::new(16, seed)),
-        "bayesian" => factory!(BayesianOpt::new(seed)),
-        "hypermapper" => factory!(HyperMapperLike::new(seed)),
-        "rl" => factory!(ConfuciuxRl::new(seed)),
-        _ => None,
-    }
+fn baseline_technique(technique: &str, seed: u64) -> Option<Box<dyn DseTechnique>> {
+    Some(match technique {
+        "grid" => Box::new(GridSearch),
+        "random" => Box::new(RandomSearch::new(seed)),
+        "annealing" => Box::new(SimulatedAnnealing::new(seed)),
+        "genetic" => Box::new(GeneticAlgorithm::new(16, seed)),
+        "bayesian" => Box::new(BayesianOpt::new(seed)),
+        "hypermapper" => Box::new(HyperMapperLike::new(seed)),
+        "rl" => Box::new(ConfuciuxRl::new(seed)),
+        _ => return None,
+    })
 }
 
 /// Builds the per-job evaluator: its own memo tables (so per-job budgets
@@ -251,8 +244,9 @@ fn build_evaluator(
 }
 
 /// Turns a [`JobSpec`] into a running-ready [`JobDriver`]. Validation
-/// errors (unknown technique/space/mapper/model) come back as `Err` and
-/// map to HTTP 400 — nothing is evaluated until the spec is sound.
+/// errors (unknown technique/space/mapper/model, or a resume snapshot that
+/// cannot be loaded or belongs to another run) come back as `Err` and map
+/// to HTTP 400 — nothing is evaluated until the spec is sound.
 pub fn build_driver(
     spec: &JobSpec,
     engine: EvalEngine,
@@ -279,10 +273,10 @@ pub fn build_driver(
         .telemetry(telemetry)
         .spec(spec)
         .cancel_token(cancel)
-        .driver(initial);
+        .try_driver(initial)?;
         Ok(Box::new(ExplainableJob { driver }))
     } else {
-        let factory = baseline_factory(&spec.technique, spec.seed).ok_or_else(|| {
+        let technique = baseline_technique(&spec.technique, spec.seed).ok_or_else(|| {
             format!(
                 "unknown technique {:?} (expected \"explainable\", \"grid\", \"random\", \
                  \"annealing\", \"genetic\", \"bayesian\", \"hypermapper\", or \"rl\")",
@@ -290,7 +284,7 @@ pub fn build_driver(
             )
         })?;
         let evaluator = build_evaluator(spec, engine, disk, disk_error, telemetry.clone())?;
-        let driver = BaselineDriver::new(factory, evaluator, spec.budget, spec)
+        let driver = BaselineDriver::try_new(technique, evaluator, spec.budget, spec)?
             .telemetry(telemetry)
             .with_cancel_token(cancel);
         Ok(Box::new(BaselineJob {

@@ -180,9 +180,10 @@ fn short_tenant_completes_while_long_sweep_tenant_runs() {
     // instead of queueing behind it.
     let registry = Registry::new(EvalEngine::with_threads(2), None, None, Collector::noop());
     let workers = registry.spawn_workers(2);
-    // Annealing evaluates point by point, so its replay chunks give the
-    // scheduler real step boundaries while every evaluation still runs
-    // linear-mapper sweeps over the edge space through the shared pool.
+    // Annealing evaluates point by point, so each of its steps is one
+    // evaluation: the scheduler gets real step boundaries while every
+    // evaluation still runs linear-mapper sweeps over the edge space
+    // through the shared pool.
     let long = registry
         .submit(JobSpec {
             technique: "annealing".to_string(),
@@ -391,4 +392,75 @@ fn http_smoke_submit_poll_metrics() {
     assert_eq!(status, 404);
 
     server.stop();
+}
+
+/// A resume snapshot that cannot be loaded, or that another run wrote, is
+/// refused at submission with a 400 — on a one-thread front end, so a
+/// handler that died on it would take the whole server down — and the
+/// server keeps serving.
+fn unloadable_snapshots_are_client_errors(technique: &str, other_technique: &str) {
+    let dir = scratch_dir(&format!("bad-snapshot-{technique}"));
+    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
+    let workers = registry.spawn_workers(1);
+    let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), workers).expect("start");
+    let addr = server.addr();
+    let submit = |spec: &JobSpec| http(addr, "POST", "/jobs", &spec.to_json_string());
+    let resume_from = |path: &PathBuf, spec: JobSpec| JobSpec {
+        checkpoint: Some(path.clone()),
+        resume: true,
+        ..spec
+    };
+
+    let corrupt = dir.join("corrupt.snapshot");
+    std::fs::write(&corrupt, "{ not json").expect("write corrupt snapshot");
+    // A real snapshot of this technique at budget 10, and one of another
+    // technique.
+    let snapshot = dir.join("job.snapshot");
+    let foreign = dir.join("foreign.snapshot");
+    for (path, name) in [(&snapshot, technique), (&foreign, other_technique)] {
+        run_straight(
+            &JobSpec {
+                checkpoint: Some(path.clone()),
+                ..toy_spec(name, 10, 1)
+            },
+            EvalEngine::serial(),
+        );
+        assert!(path.exists(), "{name} left no snapshot");
+    }
+
+    let refused = [
+        resume_from(&corrupt, toy_spec(technique, 10, 1)),
+        resume_from(&snapshot, toy_spec(technique, 11, 1)),
+        resume_from(&foreign, toy_spec(technique, 10, 1)),
+    ];
+    for spec in &refused {
+        let (status, body) = submit(spec);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("cannot resume"), "{body}");
+        let (status, _) = http(addr, "GET", "/jobs", "");
+        assert_eq!(status, 200, "the front end must keep serving");
+    }
+
+    // The matching snapshot resumes, and the job completes.
+    let (status, body) = submit(&resume_from(&snapshot, toy_spec(technique, 10, 1)));
+    assert_eq!(status, 202, "{body}");
+    let id = json::parse(&body)
+        .expect("submit response JSON")
+        .get("id")
+        .and_then(Json::as_f64)
+        .expect("id") as u64;
+    assert_eq!(registry.wait_terminal(id), Some(JobState::Completed));
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unloadable_explainable_snapshot_is_a_client_error() {
+    unloadable_snapshots_are_client_errors("explainable", "random");
+}
+
+#[test]
+fn unloadable_baseline_snapshot_is_a_client_error() {
+    unloadable_snapshots_are_client_errors("random", "explainable");
 }

@@ -165,4 +165,12 @@ echo "==> service smoke: edse-serve --self-check (in-process e2e over HTTP)"
 cargo build --release -q -p edse-serve
 timeout 60 target/release/edse-serve --self-check
 
+echo "==> benchmark smoke: perfbench builds against the workspace and runs"
+# perfbench/ is a package with its own workspace that builds against the
+# crates by path, so nothing above compiles it: an API break it depends on
+# would otherwise only surface when the benchmark runs. Its smoke test runs
+# every workload once at minimal size. The timeout covers a cold release
+# build of its separate target directory.
+timeout 300 cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "All checks passed."
