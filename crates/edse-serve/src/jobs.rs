@@ -478,7 +478,14 @@ impl Registry {
                             if job.state == JobState::Running && !job.queued {
                                 job.queued = true;
                                 inner.queue.push_back(id);
-                                self.work.notify_one();
+                                // This worker takes the queue's head next, so
+                                // a sleeping one is woken only when there is
+                                // more than that to run. A lone job then keeps
+                                // its worker instead of bouncing between
+                                // workers at every step.
+                                if inner.queue.len() > 1 {
+                                    self.work.notify_one();
+                                }
                             }
                         }
                         StepOutcome::Done | StepOutcome::Cancelled => {
