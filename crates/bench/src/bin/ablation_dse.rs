@@ -29,11 +29,10 @@ fn run<M: MappingOptimizer>(
     telemetry: &Collector,
     session: &SessionOpts,
 ) -> (String, String, String, Trace) {
-    let mut ev = CodesignEvaluator::new(edge_space(), vec![model.clone()], mapper)
-        .with_telemetry(telemetry.clone());
-    if let Some(disk) = &session.disk {
-        ev = ev.with_disk_cache(disk.clone());
-    }
+    let ev = session.attach_disk(
+        CodesignEvaluator::new(edge_space(), vec![model.clone()], mapper)
+            .with_telemetry(telemetry.clone()),
+    );
     let session = SearchSession::new(dnn_latency_model(), config)
         .evaluator(&ev)
         .telemetry(telemetry.clone());

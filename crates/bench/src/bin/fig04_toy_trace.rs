@@ -118,11 +118,10 @@ fn main() {
     let model = single_layer_model();
 
     // HyperMapper-2.0-style exploration (Fig. 4a).
-    let mut ev = CodesignEvaluator::new(space.clone(), vec![model.clone()], mapper::FixedMapper)
-        .with_telemetry(telemetry.clone());
-    if let Some(disk) = &opts.disk {
-        ev = ev.with_disk_cache(disk.clone());
-    }
+    let ev = opts.attach_disk(
+        CodesignEvaluator::new(space.clone(), vec![model.clone()], mapper::FixedMapper)
+            .with_telemetry(telemetry.clone()),
+    );
     let mut technique = HyperMapperLike::new(args.spec.seed);
     let mut hm_session = BaselineSession::new(&mut technique).telemetry(telemetry.clone());
     if let Some(path) = opts.path_for("hypermapper") {
@@ -138,11 +137,10 @@ fn main() {
     print_trace("HyperMapper 2.0 (black-box)", &space, &hm);
 
     // Explainable-DSE (Fig. 4b).
-    let mut ev = CodesignEvaluator::new(space.clone(), vec![model], mapper::FixedMapper)
-        .with_telemetry(telemetry.clone());
-    if let Some(disk) = &opts.disk {
-        ev = ev.with_disk_cache(disk.clone());
-    }
+    let ev = opts.attach_disk(
+        CodesignEvaluator::new(space.clone(), vec![model], mapper::FixedMapper)
+            .with_telemetry(telemetry.clone()),
+    );
     let mut session = SearchSession::new(
         dnn_latency_model(),
         DseConfig {

@@ -19,11 +19,10 @@ use workloads::zoo;
 fn main() {
     let args = BenchArgs::parse(80);
     let telemetry = args.telemetry();
-    let mut evaluator = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper)
-        .with_telemetry(telemetry.clone());
-    if let Some(disk) = &args.session_opts(&telemetry).disk {
-        evaluator = evaluator.with_disk_cache(disk.clone());
-    }
+    let evaluator = args.session_opts(&telemetry).attach_disk(
+        CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper)
+            .with_telemetry(telemetry.clone()),
+    );
     let mut session = SearchSession::new(
         dnn_latency_model(),
         DseConfig {

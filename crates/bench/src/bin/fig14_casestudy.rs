@@ -92,14 +92,11 @@ fn main() {
             continue;
         };
         // Re-evaluate the best point for area/power/energy.
-        let mut ev = CodesignEvaluator::new(
+        let ev = session.attach_disk(CodesignEvaluator::new(
             edge_space(),
             vec![model.clone()],
             LinearMapper::new(args.spec.map_trials),
-        );
-        if let Some(disk) = &session.disk {
-            ev = ev.with_disk_cache(disk.clone());
-        }
+        ));
         let eval = ev.evaluate(&best.point);
         let fps = 1000.0 / best.objective;
         let fps_per_mm2 = fps / eval.area_mm2;

@@ -70,15 +70,14 @@ fn main() {
         println!("  {:>14} x{:<3} {}", u.name, u.count, u.shape.describe());
     }
 
-    let mut evaluator = CodesignEvaluator::new(
-        edge_space(),
-        vec![model],
-        LinearMapper::new(args.spec.map_trials),
-    )
-    .with_telemetry(telemetry.clone());
-    if let Some(disk) = &args.session_opts(&telemetry).disk {
-        evaluator = evaluator.with_disk_cache(disk.clone());
-    }
+    let evaluator = args.session_opts(&telemetry).attach_disk(
+        CodesignEvaluator::new(
+            edge_space(),
+            vec![model],
+            LinearMapper::new(args.spec.map_trials),
+        )
+        .with_telemetry(telemetry.clone()),
+    );
     let mut session = SearchSession::new(
         dnn_latency_model(),
         DseConfig {

@@ -7,7 +7,7 @@
 //! `--resume`, `--checkpoint-every`) are hosted, feeding
 //! [`SessionOpts`] into the technique runners.
 
-use edse_core::{DiskCache, JobSpec};
+use edse_core::{CodesignEvaluator, DiskCache, JobSpec};
 use edse_telemetry::{Collector, JsonlSink, Level, PrometheusSink, StderrSink};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -80,6 +80,20 @@ impl SessionOpts {
     /// The disabled options: no checkpointing, no resume.
     pub fn none() -> Self {
         SessionOpts::default()
+    }
+
+    /// Attaches this run's disk tier to `evaluator`: the open cache when
+    /// there is one, otherwise the reason `--cache-dir` could not be
+    /// opened (reported in [`edse_core::CacheStats::disk_error`]).
+    pub fn attach_disk<M: mapper::MappingOptimizer>(
+        &self,
+        evaluator: CodesignEvaluator<M>,
+    ) -> CodesignEvaluator<M> {
+        match (&self.disk, &self.disk_error) {
+            (Some(disk), _) => evaluator.with_disk_cache(disk.clone()),
+            (None, Some(err)) => evaluator.with_disk_cache_error(err.clone()),
+            (None, None) => evaluator,
+        }
     }
 
     /// The per-technique snapshot path: `<base>.<label>`, so several
@@ -444,6 +458,13 @@ mod tests {
         // evaluator built from these options reports it in cache_stats().
         let err = opts.disk_error.as_deref().expect("disk_error recorded");
         assert!(err.contains("cannot open cache dir"), "{err}");
+        let ev = opts.attach_disk(CodesignEvaluator::new(
+            edse_core::space::edge_space(),
+            vec![zoo::resnet18()],
+            mapper::FixedMapper,
+        ));
+        let stats = edse_core::Evaluator::cache_stats(&ev);
+        assert_eq!(stats.disk_error.as_deref(), Some(err));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -124,13 +124,10 @@ pub fn run_explainable_detailed(
     telemetry: &Collector,
     session: &SessionOpts,
 ) -> (Trace, Vec<usize>) {
-    let mut evaluator = CodesignEvaluator::new(edge_space(), models, mapper.build(seed))
-        .with_telemetry(telemetry.clone());
-    if let Some(disk) = &session.disk {
-        evaluator = evaluator.with_disk_cache(disk.clone());
-    } else if let Some(err) = &session.disk_error {
-        evaluator = evaluator.with_disk_cache_error(err.clone());
-    }
+    let evaluator = session.attach_disk(
+        CodesignEvaluator::new(edge_space(), models, mapper.build(seed))
+            .with_telemetry(telemetry.clone()),
+    );
     let mut search = SearchSession::new(
         dnn_latency_model(),
         DseConfig {
@@ -177,13 +174,10 @@ pub fn run_technique(
     telemetry: &Collector,
     session: &SessionOpts,
 ) -> Trace {
-    let mut evaluator = CodesignEvaluator::new(edge_space(), models, mapper.build(seed))
-        .with_telemetry(telemetry.clone());
-    if let Some(disk) = &session.disk {
-        evaluator = evaluator.with_disk_cache(disk.clone());
-    } else if let Some(err) = &session.disk_error {
-        evaluator = evaluator.with_disk_cache_error(err.clone());
-    }
+    let evaluator = session.attach_disk(
+        CodesignEvaluator::new(edge_space(), models, mapper.build(seed))
+            .with_telemetry(telemetry.clone()),
+    );
     let mut trace = match kind {
         TechniqueKind::Explainable => {
             let mut search = SearchSession::new(

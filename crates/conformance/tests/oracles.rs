@@ -392,7 +392,7 @@ fn warm_search_session_matches_the_cold_run_from_disk() {
         .run(initial.clone());
 
     // A fresh process would reopen the directory: drop the cold evaluator
-    // (flushing the index) and recover the store from disk alone.
+    // and rebuild the store from its segments alone.
     drop(cold_ev);
     let warm_ev = edge_evaluator(EvalEngine::serial())
         .with_disk_cache(Arc::new(DiskCache::open(&dir).expect("reopen cache")));

@@ -4,48 +4,43 @@
 //!
 //! # Layout
 //!
-//! A cache directory holds:
+//! A cache directory holds only **record segments** (`seg-<id>.edc`):
+//! append-only files of length-prefixed records behind a 16-byte header
+//! (magic + format version). Each record stores the canonical key string,
+//! its 64-bit FNV-1a hash, the serialized value, and a checksum over the
+//! whole body. Appends never rewrite existing bytes; every handle that
+//! writes creates a fresh segment of its own, so readers of old segments
+//! are never invalidated. Any other file in the directory is ignored.
 //!
-//! * **Record segments** (`seg-<id>.edc`) — append-only files of
-//!   length-prefixed records behind a 16-byte header (magic + format
-//!   version). Each record stores the canonical key string, its 64-bit
-//!   FNV-1a hash, the serialized value, and a checksum over the whole
-//!   body. Appends never rewrite existing bytes; every run that writes
-//!   opens a fresh segment, so concurrent *readers* of old segments are
-//!   never invalidated.
-//! * **An index** (`index.json`) — hash → record location, plus the byte
-//!   length of each segment it covers. Written atomically
-//!   (write-then-rename) on [`DiskCache::flush_index`], compaction, and
-//!   drop. The index is an accelerator, not a source of truth: a missing,
-//!   stale, or corrupt index is rebuilt by scanning the segments.
+//! # Opening and crash safety
 //!
-//! # Crash safety
-//!
-//! Appends are not flushed per record, so a crash can tear the tail of the
-//! active segment. Recovery on open scans any bytes the index does not
-//! cover, verifying each record's checksum, and **truncates to the
-//! surviving prefix** (logically — the file is never modified) instead of
-//! failing. A segment whose header carries an unknown format version is
-//! skipped whole. Every recovery action is counted in
-//! [`DiskCacheStats`] and emitted as `disk_cache/*` telemetry counters.
+//! Opening scans every segment and verifies every record's checksum; the
+//! in-memory hash → location map is built from that scan, so nothing on
+//! disk is trusted unchecked. Appends are not flushed per record, so a
+//! crash can tear the tail of a segment: the scan stops at the first
+//! record that is torn or fails its checksum and **truncates the segment
+//! to the surviving prefix** (logically — the file is never modified)
+//! instead of failing. A segment whose header carries an unknown format
+//! version is skipped whole. Each such event is counted in
+//! [`DiskCacheStats`] and emitted as a `disk_cache/*` telemetry counter.
 //!
 //! # Trusting vs. checked reads
 //!
-//! By default, lookups trust the index and only compare the stored key
-//! string against the requested key (which makes hash collisions
-//! harmless). With the `validation` cargo feature — the CI configuration —
-//! every read additionally re-verifies the record checksum and key hash
-//! before deserializing. Either way, a record that fails any check is
-//! evicted and treated as a miss: the evaluator recomputes and re-appends,
-//! so corruption can cost time but never changes results.
+//! By default, lookups trust the bytes the open scan verified and only
+//! compare the stored key string against the requested key (which makes
+//! hash collisions harmless). With the `validation` cargo feature — the CI
+//! configuration — every read additionally re-verifies the record checksum
+//! and key hash before deserializing, which also catches bytes changed
+//! after open. Either way, a record that fails any check is evicted and
+//! treated as a miss: the evaluator recomputes and re-appends, so
+//! corruption can cost time but never changes results.
 
 use accel_model::{AcceleratorConfig, ExecutionProfile};
-use edse_telemetry::json::{self, Json};
 use edse_telemetry::{Collector, Level};
 use mapper::MappedLayer;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -62,10 +57,9 @@ const HEADER_LEN: u64 = 16;
 const FRAME_LEN: u64 = 8;
 /// Minimum body: key hash (8) + key length (4).
 const MIN_BODY: u32 = 12;
-/// Index file name inside the cache directory.
-const INDEX_FILE: &str = "index.json";
-/// Index schema identifier.
-const INDEX_FORMAT: &str = "edse-diskcache-index";
+/// Read-buffer size for the open scan (records are a few hundred bytes to
+/// a few KiB, so one buffer fill serves many records).
+const SCAN_BUF: usize = 64 << 10;
 
 pub use integrity::READ_CHECKS;
 
@@ -73,8 +67,8 @@ pub use integrity::READ_CHECKS;
 mod integrity {
     /// Whether lookups re-verify record checksums and key hashes before
     /// deserializing (`true` under the `validation` feature — the CI
-    /// configuration; default builds trust the index and only compare the
-    /// stored key string).
+    /// configuration; default builds rely on the checksums verified at
+    /// open and only compare the stored key string).
     pub const READ_CHECKS: bool = true;
 }
 
@@ -82,8 +76,8 @@ mod integrity {
 mod integrity {
     /// Whether lookups re-verify record checksums and key hashes before
     /// deserializing (`true` under the `validation` feature — the CI
-    /// configuration; default builds trust the index and only compare the
-    /// stored key string).
+    /// configuration; default builds rely on the checksums verified at
+    /// open and only compare the stored key string).
     pub const READ_CHECKS: bool = false;
 }
 
@@ -156,7 +150,7 @@ pub fn layer_key(
 /// does not persist its own statistics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskCacheStats {
-    /// Live index entries (readable records).
+    /// Readable records.
     pub entries: usize,
     /// Lookups answered from disk.
     pub hits: u64,
@@ -164,19 +158,14 @@ pub struct DiskCacheStats {
     pub misses: u64,
     /// Records appended by this process.
     pub appends: u64,
-    /// Records recovered by scanning bytes the index did not cover.
-    pub recovered_records: u64,
-    /// Torn or corrupt segment tails truncated during recovery.
+    /// Segments whose scan stopped early at a torn or corrupt record.
     pub torn_tails: u64,
-    /// Index files discarded (missing with data present, corrupt, or
-    /// wrong version) and rebuilt by scanning.
-    pub index_rebuilds: u64,
     /// Segments skipped whole for carrying an unknown format version.
     pub skipped_segments: u64,
     /// Records evicted after failing a read-time check.
     pub read_errors: u64,
-    /// Appends or index writes lost to I/O errors (the cache degrades to
-    /// pass-through; results are unaffected).
+    /// Appends lost to I/O errors (the cache degrades to pass-through;
+    /// results are unaffected).
     pub write_failures: u64,
 }
 
@@ -205,7 +194,8 @@ struct Loc {
 struct Segment {
     path: PathBuf,
     file: File,
-    /// Readable byte length (recovery may logically truncate past this).
+    /// Readable byte length (the open scan may logically truncate past
+    /// this).
     len: u64,
 }
 
@@ -221,10 +211,14 @@ struct Inner {
 /// default, checked reads under the `validation` feature; see the module
 /// docs for the on-disk layout and crash-safety contract.
 ///
-/// One process per cache directory at a time for writers (appends from two
-/// processes would interleave into the same namespace without
-/// coordination); any number of instances may share one [`DiskCache`]
-/// through an [`std::sync::Arc`] — all methods take `&self`.
+/// Any number of handles — in one process or several — may share a cache
+/// directory: each writer appends only to segments it created itself
+/// (`create_new`, taking the next free id), so appends never interleave,
+/// and a handle sees records other handles appended after it opened only
+/// once reopened. [`DiskCache::compact`] is the exception: it deletes the
+/// segments it merged, so run it only while no other handle is open.
+/// Within a process, share one [`DiskCache`] through an
+/// [`std::sync::Arc`] — all methods take `&self`.
 pub struct DiskCache {
     dir: PathBuf,
     telemetry: Collector,
@@ -232,9 +226,7 @@ pub struct DiskCache {
     hits: AtomicU64,
     misses: AtomicU64,
     appends: AtomicU64,
-    recovered_records: AtomicU64,
     torn_tails: AtomicU64,
-    index_rebuilds: AtomicU64,
     skipped_segments: AtomicU64,
     read_errors: AtomicU64,
     write_failures: AtomicU64,
@@ -264,7 +256,7 @@ impl DiskCache {
 
     /// [`DiskCache::open`] with a telemetry collector: the cache then
     /// emits `disk_cache/{hit,miss,append}` traffic counters and
-    /// `disk_cache/{recovered_records,torn_tails,index_rebuilds,skipped_segments,read_errors,write_failures}`
+    /// `disk_cache/{torn_tails,skipped_segments,read_errors,write_failures}`
     /// recovery counters, plus one warning log per recovery or I/O event.
     ///
     /// # Errors
@@ -286,9 +278,7 @@ impl DiskCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             appends: AtomicU64::new(0),
-            recovered_records: AtomicU64::new(0),
             torn_tails: AtomicU64::new(0),
-            index_rebuilds: AtomicU64::new(0),
             skipped_segments: AtomicU64::new(0),
             read_errors: AtomicU64::new(0),
             write_failures: AtomicU64::new(0),
@@ -330,23 +320,19 @@ impl DiskCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             appends: self.appends.load(Ordering::Relaxed),
-            recovered_records: self.recovered_records.load(Ordering::Relaxed),
             torn_tails: self.torn_tails.load(Ordering::Relaxed),
-            index_rebuilds: self.index_rebuilds.load(Ordering::Relaxed),
             skipped_segments: self.skipped_segments.load(Ordering::Relaxed),
             read_errors: self.read_errors.load(Ordering::Relaxed),
             write_failures: self.write_failures.load(Ordering::Relaxed),
         }
     }
 
-    fn event(&self, counter: &'static str, stat: &AtomicU64, n: u64, detail: &str) {
-        stat.fetch_add(n, Ordering::Relaxed);
-        if self.telemetry.active() && n > 0 {
-            self.telemetry.counter(&format!("disk_cache/{counter}"), n);
-            if !detail.is_empty() {
-                self.telemetry
-                    .log(Level::Warn, &format!("disk cache: {detail}"));
-            }
+    fn event(&self, counter: &'static str, stat: &AtomicU64, detail: &str) {
+        stat.fetch_add(1, Ordering::Relaxed);
+        if self.telemetry.active() {
+            self.telemetry.counter(&format!("disk_cache/{counter}"), 1);
+            self.telemetry
+                .log(Level::Warn, &format!("disk cache: {detail}"));
         }
     }
 
@@ -354,6 +340,8 @@ impl DiskCache {
     // Recovery
     // ------------------------------------------------------------------
 
+    /// Scans every segment in id order, verifying every record, and builds
+    /// the hash → location map. The first readable copy of a hash wins.
     fn recover(&self) -> Result<(), String> {
         let mut seg_paths: Vec<(u64, PathBuf)> = Vec::new();
         let entries = std::fs::read_dir(&self.dir)
@@ -372,68 +360,25 @@ impl DiskCache {
         }
         seg_paths.sort();
 
-        let saved = self.load_index(!seg_paths.is_empty());
         let mut inner = self.inner.lock().expect("disk cache poisoned");
         inner.next_id = seg_paths.last().map_or(0, |(id, _)| id + 1);
-
         for (_, path) in seg_paths {
-            let name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or_default()
-                .to_string();
-            let mut file =
-                File::open(&path).map_err(|e| format!("open {}: {e}", path.display()))?;
+            let file = File::open(&path).map_err(|e| format!("open {}: {e}", path.display()))?;
             let file_len = file
                 .metadata()
                 .map_err(|e| format!("stat {}: {e}", path.display()))?
                 .len();
-            if !header_ok(&mut file, file_len) {
+            let mut reader = BufReader::with_capacity(SCAN_BUF, &file);
+            if !header_ok(&mut reader) {
                 self.event(
                     "skipped_segments",
                     &self.skipped_segments,
-                    1,
-                    &format!("{name}: unknown segment format, skipping"),
+                    &format!("{}: unknown segment format, skipping", path.display()),
                 );
                 continue;
             }
+            let (records, end, torn) = scan_records(&mut reader, file_len);
             let seg = inner.segments.len();
-            let mut covered = saved
-                .as_ref()
-                .and_then(|(covers, _)| covers.get(&name).copied())
-                .unwrap_or(HEADER_LEN)
-                .max(HEADER_LEN);
-            let mut trusted = 0usize;
-            if covered > file_len {
-                // The index claims more bytes than exist: stale for this
-                // segment. Fall back to a full scan.
-                self.event(
-                    "index_rebuilds",
-                    &self.index_rebuilds,
-                    1,
-                    &format!("{name}: index covers {covered} of {file_len} bytes, rescanning"),
-                );
-                covered = HEADER_LEN;
-            } else if let Some((_, locs)) = &saved {
-                for &(hash, ref file_name, offset, len) in locs {
-                    if *file_name == name && offset + len as u64 <= covered {
-                        inner.index.entry(hash).or_insert(Loc { seg, offset, len });
-                        trusted += 1;
-                    }
-                }
-            }
-            let _ = trusted;
-            // Scan whatever the index does not vouch for (everything on a
-            // rebuild; the post-crash tail otherwise).
-            let (records, end, torn) = scan_records(&mut file, covered, file_len);
-            if !records.is_empty() {
-                self.event(
-                    "recovered_records",
-                    &self.recovered_records,
-                    records.len() as u64,
-                    &format!("{name}: recovered {} record(s) by scan", records.len()),
-                );
-            }
             for (hash, offset, len) in records {
                 inner.index.entry(hash).or_insert(Loc { seg, offset, len });
             }
@@ -441,8 +386,7 @@ impl DiskCache {
                 self.event(
                     "torn_tails",
                     &self.torn_tails,
-                    1,
-                    &format!("{name}: truncated torn tail at byte {end}"),
+                    &format!("{}: truncated torn tail at byte {end}", path.display()),
                 );
             }
             inner.segments.push(Segment {
@@ -452,36 +396,6 @@ impl DiskCache {
             });
         }
         Ok(())
-    }
-
-    /// Parses `index.json`; `None` (plus a rebuild count when segment data
-    /// exists) on any failure. Returns per-segment covered lengths and raw
-    /// locations.
-    #[allow(clippy::type_complexity)]
-    fn load_index(
-        &self,
-        have_segments: bool,
-    ) -> Option<(HashMap<String, u64>, Vec<(u64, String, u64, u32)>)> {
-        let path = self.dir.join(INDEX_FILE);
-        let rebuild = |detail: String| {
-            if have_segments {
-                self.event("index_rebuilds", &self.index_rebuilds, 1, &detail);
-            }
-        };
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                rebuild("index missing, rebuilding by scan".into());
-                return None;
-            }
-        };
-        match parse_index(&text) {
-            Ok(parsed) => Some(parsed),
-            Err(e) => {
-                rebuild(format!("index unreadable ({e}), rebuilding by scan"));
-                None
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -524,7 +438,6 @@ impl DiskCache {
                 self.event(
                     "read_errors",
                     &self.read_errors,
-                    1,
                     &format!("evicted unreadable record {hash:016x}: {e}"),
                 );
                 self.miss();
@@ -552,7 +465,6 @@ impl DiskCache {
                 self.event(
                     "write_failures",
                     &self.write_failures,
-                    1,
                     &format!("serialize record: {e}"),
                 );
                 return;
@@ -574,7 +486,7 @@ impl DiskCache {
             }
             Err(e) => {
                 drop(inner);
-                self.event("write_failures", &self.write_failures, 1, &e);
+                self.event("write_failures", &self.write_failures, &e);
             }
         }
     }
@@ -609,7 +521,6 @@ impl DiskCache {
                 self.event(
                     "read_errors",
                     &self.read_errors,
-                    1,
                     &format!("evicted unreadable record {hash:016x}: {e}"),
                 );
                 None
@@ -618,26 +529,15 @@ impl DiskCache {
     }
 
     // ------------------------------------------------------------------
-    // Index persistence and compaction
+    // Compaction
     // ------------------------------------------------------------------
 
-    /// Writes the index atomically (write-then-rename). Also runs on drop;
-    /// call explicitly to bound what a crash would have to re-scan.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the I/O failure.
-    pub fn flush_index(&self) -> Result<(), String> {
-        let inner = self.inner.lock().expect("disk cache poisoned");
-        let json = index_to_json(&inner);
-        drop(inner);
-        write_atomic(&self.dir.join(INDEX_FILE), &json.to_line())
-    }
-
-    /// Rewrites every live record into one fresh segment (atomically:
-    /// records are staged to a temp file, then renamed in), replaces the
-    /// index, and deletes the old segments. Records are written in key-hash
-    /// order, so equal contents always compact to byte-equal segments.
+    /// Rewrites every live record into one fresh segment and deletes the
+    /// old segments. Records are written in key-hash order, so equal
+    /// contents always compact to byte-equal segments. The old segments
+    /// are deleted only after the new one is fully written; a crash in
+    /// between leaves duplicate records, and the next open keeps the
+    /// older copy of each.
     ///
     /// # Errors
     ///
@@ -647,71 +547,42 @@ impl DiskCache {
         let mut inner = self.inner.lock().expect("disk cache poisoned");
         let mut hashes: Vec<u64> = inner.index.keys().copied().collect();
         hashes.sort_unstable();
-        let mut records: Vec<(u64, Vec<u8>, Vec<u8>)> = Vec::with_capacity(hashes.len());
+        let mut buf = Vec::new();
+        let mut index = HashMap::with_capacity(hashes.len());
         for hash in hashes {
             let loc = inner.index[&hash];
             let (stored_hash, key, value) =
                 read_record(&mut inner, loc).map_err(|e| format!("compact read: {e}"))?;
-            records.push((stored_hash, key, value));
+            let offset = HEADER_LEN + buf.len() as u64;
+            let len = encode_record(&mut buf, stored_hash, &key, &value);
+            index.insert(
+                stored_hash,
+                Loc {
+                    seg: 0,
+                    offset,
+                    len,
+                },
+            );
         }
 
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let final_path = self.dir.join(segment_name(id));
-        let tmp_path = self.dir.join(format!("{}.tmp", segment_name(id)));
-        let mut buf = Vec::new();
-        buf.extend_from_slice(SEGMENT_MAGIC);
-        buf.extend_from_slice(&DISKCACHE_VERSION.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        let mut locs = Vec::with_capacity(records.len());
-        for (hash, key, value) in &records {
-            let offset = buf.len() as u64;
-            let len = encode_record(&mut buf, *hash, key, value);
-            locs.push((*hash, offset, len));
+        let (path, mut file) = create_segment(&mut inner, &self.dir)?;
+        if let Err(e) = file.write_all(&buf) {
+            let _ = std::fs::remove_file(&path);
+            return Err(format!("write {}: {e}", path.display()));
         }
-        std::fs::write(&tmp_path, &buf)
-            .map_err(|e| format!("write {}: {e}", tmp_path.display()))?;
-        std::fs::rename(&tmp_path, &final_path)
-            .map_err(|e| format!("rename {}: {e}", final_path.display()))?;
-        let file =
-            File::open(&final_path).map_err(|e| format!("reopen {}: {e}", final_path.display()))?;
-
-        let old: Vec<PathBuf> = inner.segments.iter().map(|s| s.path.clone()).collect();
-        inner.segments = vec![Segment {
-            path: final_path,
+        let fresh = Segment {
+            path,
             file,
-            len: buf.len() as u64,
-        }];
+            len: HEADER_LEN + buf.len() as u64,
+        };
+        let old = std::mem::replace(&mut inner.segments, vec![fresh]);
         inner.active = None;
-        inner.index = locs
-            .into_iter()
-            .map(|(hash, offset, len)| {
-                (
-                    hash,
-                    Loc {
-                        seg: 0,
-                        offset,
-                        len,
-                    },
-                )
-            })
-            .collect();
-        let json = index_to_json(&inner);
+        inner.index = index;
         drop(inner);
-        write_atomic(&self.dir.join(INDEX_FILE), &json.to_line())?;
-        for path in old {
-            let _ = std::fs::remove_file(path);
+        for seg in old {
+            let _ = std::fs::remove_file(seg.path);
         }
         Ok(())
-    }
-}
-
-impl Drop for DiskCache {
-    fn drop(&mut self) {
-        if let Err(e) = self.flush_index() {
-            self.telemetry
-                .log(Level::Warn, &format!("disk cache: index flush failed: {e}"));
-        }
     }
 }
 
@@ -724,15 +595,10 @@ fn segment_name(id: u64) -> String {
 }
 
 /// Reads and validates a segment header.
-fn header_ok(file: &mut File, file_len: u64) -> bool {
-    if file_len < HEADER_LEN {
-        return false;
-    }
+fn header_ok(reader: &mut impl Read) -> bool {
     let mut header = [0u8; HEADER_LEN as usize];
-    if file.seek(SeekFrom::Start(0)).is_err() || file.read_exact(&mut header).is_err() {
-        return false;
-    }
-    &header[..8] == SEGMENT_MAGIC
+    reader.read_exact(&mut header).is_ok()
+        && &header[..8] == SEGMENT_MAGIC
         && u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) == DISKCACHE_VERSION
 }
 
@@ -752,7 +618,7 @@ fn encode_record(buf: &mut Vec<u8>, hash: u64, key: &[u8], value: &[u8]) -> u32 
 }
 
 /// Splits a record body into `(hash, key, value)`.
-fn decode_body(body: &[u8]) -> Result<(u64, Vec<u8>, Vec<u8>), String> {
+fn decode_body(body: &[u8]) -> Result<(u64, &[u8], &[u8]), String> {
     if body.len() < MIN_BODY as usize {
         return Err(format!("record body too short ({} bytes)", body.len()));
     }
@@ -761,48 +627,40 @@ fn decode_body(body: &[u8]) -> Result<(u64, Vec<u8>, Vec<u8>), String> {
     if MIN_BODY as usize + key_len > body.len() {
         return Err(format!("key length {key_len} exceeds record body"));
     }
-    let key = body[12..12 + key_len].to_vec();
-    let value = body[12 + key_len..].to_vec();
+    let (key, value) = body[12..].split_at(key_len);
     Ok((hash, key, value))
 }
 
-/// Scans `[from, file_len)` for checksummed records. Returns the valid
+/// Scans the records following a segment header (the reader sits just
+/// past it), verifying each checksum. Returns the valid
 /// `(hash, offset, total_len)` triples, the byte offset scanning stopped
 /// at, and whether it stopped early on a torn or corrupt record.
-fn scan_records(file: &mut File, from: u64, file_len: u64) -> (Vec<(u64, u64, u32)>, u64, bool) {
+fn scan_records(reader: &mut impl Read, file_len: u64) -> (Vec<(u64, u64, u32)>, u64, bool) {
     let mut records = Vec::new();
-    let mut offset = from;
-    if file.seek(SeekFrom::Start(from)).is_err() {
-        return (records, from, true);
-    }
+    let mut offset = HEADER_LEN;
+    let mut frame = Vec::new();
     while offset < file_len {
-        if file_len - offset < FRAME_LEN {
-            return (records, offset, true);
-        }
         let mut len_buf = [0u8; 4];
-        if file.read_exact(&mut len_buf).is_err() {
+        if file_len - offset < FRAME_LEN || reader.read_exact(&mut len_buf).is_err() {
             return (records, offset, true);
         }
         let body_len = u32::from_le_bytes(len_buf) as u64;
         if body_len < MIN_BODY as u64 || offset + FRAME_LEN + body_len > file_len {
             return (records, offset, true);
         }
-        let mut body = vec![0u8; body_len as usize + 4];
-        if file.read_exact(&mut body).is_err() {
+        frame.resize(body_len as usize + 4, 0);
+        if reader.read_exact(&mut frame).is_err() {
             return (records, offset, true);
         }
-        let stored_sum = u32::from_le_bytes(body[body_len as usize..].try_into().expect("4 bytes"));
-        let body = &body[..body_len as usize];
-        if checksum(body) != stored_sum {
+        let (body, sum) = frame.split_at(body_len as usize);
+        if checksum(body) != u32::from_le_bytes(sum.try_into().expect("4 bytes")) {
             return (records, offset, true);
         }
-        match decode_body(body) {
-            Ok((hash, _, _)) => {
-                records.push((hash, offset, (FRAME_LEN + body_len) as u32));
-                offset += FRAME_LEN + body_len;
-            }
-            Err(_) => return (records, offset, true),
-        }
+        let Ok((hash, _, _)) = decode_body(body) else {
+            return (records, offset, true);
+        };
+        records.push((hash, offset, (FRAME_LEN + body_len) as u32));
+        offset += FRAME_LEN + body_len;
     }
     (records, offset, false)
 }
@@ -830,7 +688,7 @@ fn read_record(inner: &mut Inner, loc: Loc) -> Result<(u64, Vec<u8>, Vec<u8>), S
     }
     let body_len = u32::from_le_bytes(raw[..4].try_into().expect("4 bytes")) as usize;
     if body_len + FRAME_LEN as usize != raw.len() {
-        return Err("record length disagrees with the index".into());
+        return Err("record length disagrees with its location".into());
     }
     let body = &raw[4..4 + body_len];
     if READ_CHECKS {
@@ -840,10 +698,37 @@ fn read_record(inner: &mut Inner, loc: Loc) -> Result<(u64, Vec<u8>, Vec<u8>), S
         }
     }
     let (hash, key, value) = decode_body(body)?;
-    if READ_CHECKS && key_hash(&key) != hash {
+    if READ_CHECKS && key_hash(key) != hash {
         return Err("stored hash disagrees with stored key".into());
     }
-    Ok((hash, key, value))
+    Ok((hash, key.to_vec(), value.to_vec()))
+}
+
+/// Creates a segment under the next free id and writes its header.
+/// Another handle on the same directory may have taken ids since this one
+/// opened; `create_new` refuses to reuse them, and the next id is tried.
+fn create_segment(inner: &mut Inner, dir: &Path) -> Result<(PathBuf, File), String> {
+    loop {
+        let path = dir.join(segment_name(inner.next_id));
+        inner.next_id += 1;
+        let mut file = match OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create_new(true)
+            .open(&path)
+        {
+            Ok(file) => file,
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(format!("create {}: {e}", path.display())),
+        };
+        let mut header = Vec::with_capacity(HEADER_LEN as usize);
+        header.extend_from_slice(SEGMENT_MAGIC);
+        header.extend_from_slice(&DISKCACHE_VERSION.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
+        file.write_all(&header)
+            .map_err(|e| format!("write header {}: {e}", path.display()))?;
+        return Ok((path, file));
+    }
 }
 
 /// Appends one record to the active segment, creating a fresh segment on
@@ -858,21 +743,7 @@ fn append_record(
     let seg = match inner.active {
         Some(seg) => seg,
         None => {
-            let id = inner.next_id;
-            inner.next_id += 1;
-            let path = dir.join(segment_name(id));
-            let mut file = OpenOptions::new()
-                .read(true)
-                .append(true)
-                .create_new(true)
-                .open(&path)
-                .map_err(|e| format!("create {}: {e}", path.display()))?;
-            let mut header = Vec::with_capacity(HEADER_LEN as usize);
-            header.extend_from_slice(SEGMENT_MAGIC);
-            header.extend_from_slice(&DISKCACHE_VERSION.to_le_bytes());
-            header.extend_from_slice(&0u32.to_le_bytes());
-            file.write_all(&header)
-                .map_err(|e| format!("write header {}: {e}", path.display()))?;
+            let (path, file) = create_segment(inner, dir)?;
             inner.segments.push(Segment {
                 path,
                 file,
@@ -893,123 +764,6 @@ fn append_record(
         .map_err(|e| format!("append {}: {e}", segment.path.display()))?;
     segment.len += buf.len() as u64;
     Ok(Loc { seg, offset, len })
-}
-
-fn index_to_json(inner: &Inner) -> Json {
-    let segments = Json::Arr(
-        inner
-            .segments
-            .iter()
-            .map(|s| {
-                Json::obj(vec![
-                    (
-                        "file",
-                        Json::Str(
-                            s.path
-                                .file_name()
-                                .and_then(|n| n.to_str())
-                                .unwrap_or_default()
-                                .to_string(),
-                        ),
-                    ),
-                    ("covered", Json::Num(s.len as f64)),
-                ])
-            })
-            .collect(),
-    );
-    let mut entries: Vec<(u64, &Loc)> = inner.index.iter().map(|(h, l)| (*h, l)).collect();
-    entries.sort_by_key(|(h, _)| *h);
-    let entries = Json::Arr(
-        entries
-            .into_iter()
-            .map(|(hash, loc)| {
-                let file = inner.segments[loc.seg]
-                    .path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .unwrap_or_default()
-                    .to_string();
-                Json::Arr(vec![
-                    Json::Str(format!("{hash:016x}")),
-                    Json::Str(file),
-                    Json::Num(loc.offset as f64),
-                    Json::Num(loc.len as f64),
-                ])
-            })
-            .collect(),
-    );
-    Json::obj(vec![
-        ("format", Json::Str(INDEX_FORMAT.into())),
-        ("version", Json::Num(DISKCACHE_VERSION as f64)),
-        ("segments", segments),
-        ("entries", entries),
-    ])
-}
-
-#[allow(clippy::type_complexity)]
-fn parse_index(text: &str) -> Result<(HashMap<String, u64>, Vec<(u64, String, u64, u32)>), String> {
-    let j = json::parse(text.trim()).map_err(|e| format!("parse: {e}"))?;
-    let format = j
-        .get("format")
-        .and_then(Json::as_str)
-        .ok_or("missing format")?;
-    if format != INDEX_FORMAT {
-        return Err(format!("unexpected format `{format}`"));
-    }
-    let version = j
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or("missing version")?;
-    if version != DISKCACHE_VERSION as u64 {
-        return Err(format!("unsupported index version {version}"));
-    }
-    let mut covers = HashMap::new();
-    for seg in j
-        .get("segments")
-        .and_then(Json::as_arr)
-        .ok_or("missing segments")?
-    {
-        let file = seg
-            .get("file")
-            .and_then(Json::as_str)
-            .ok_or("segment without file")?;
-        let covered = seg
-            .get("covered")
-            .and_then(Json::as_u64)
-            .ok_or("segment without covered length")?;
-        covers.insert(file.to_string(), covered);
-    }
-    let mut locs = Vec::new();
-    for entry in j
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("missing entries")?
-    {
-        let entry = entry.as_arr().ok_or("entry is not an array")?;
-        if entry.len() != 4 {
-            return Err("entry is not [hash, file, offset, len]".into());
-        }
-        let hash = entry[0]
-            .as_str()
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or("entry hash is not a hex string")?;
-        let file = entry[1].as_str().ok_or("entry file is not a string")?;
-        let offset = entry[2].as_u64().ok_or("entry offset is not a number")?;
-        let len = entry[3].as_u64().ok_or("entry len is not a number")?;
-        locs.push((hash, file.to_string(), offset, len as u32));
-    }
-    Ok((covers, locs))
-}
-
-/// Write-then-rename, as everywhere else in the workspace: a crash
-/// mid-write never corrupts the previous file.
-fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = PathBuf::from(tmp_name);
-    std::fs::write(&tmp, contents).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
 }
 
 #[cfg(test)]
@@ -1075,46 +829,89 @@ mod tests {
     }
 
     #[test]
-    fn reopen_reads_back_through_the_index_without_recovery() {
-        let dir = temp_dir("reopen");
-        let entries = sample_entries(4);
-        {
-            let cache = DiskCache::open(&dir).unwrap();
-            for (key, value) in &entries {
-                cache.put_outcome(key, value);
-            }
-            // Drop writes the index.
-        }
-        let cache = DiskCache::open(&dir).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 4);
-        assert_eq!(stats.recovered_records, 0, "index covered everything");
-        assert_eq!(stats.index_rebuilds, 0);
-        for (key, value) in &entries {
-            assert_eq!(cache.get_outcome(key).as_ref(), Some(value));
-        }
-        assert_eq!(cache.stats().hit_rate(), 1.0);
-        drop(cache);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn crash_without_index_recovers_all_records_by_scan() {
-        let dir = temp_dir("noindex");
+    fn reopen_after_a_crash_finds_every_record() {
+        let dir = temp_dir("crash");
         let entries = sample_entries(3);
         {
             let cache = DiskCache::open(&dir).unwrap();
             for (key, value) in &entries {
                 cache.put_outcome(key, value);
             }
-            std::mem::forget(cache); // crash: no index flush
+            std::mem::forget(cache); // crash: the handle is never dropped
         }
-        std::fs::remove_file(dir.join(INDEX_FILE)).ok();
         let cache = DiskCache::open(&dir).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 3);
-        assert_eq!(stats.recovered_records, 3);
-        assert_eq!(stats.index_rebuilds, 1);
+        assert_eq!(stats.torn_tails, 0);
+        for (key, value) in &entries {
+            assert_eq!(cache.get_outcome(key).as_ref(), Some(value));
+        }
+        assert_eq!(cache.stats().hit_rate(), 1.0);
+        drop(cache);
+        // Segments are the only state a cache leaves on disk.
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            assert!(name.starts_with("seg-") && name.ends_with(".edc"), "{name}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn altered_value_is_never_returned() {
+        let dir = temp_dir("altered");
+        let entries = sample_entries(3);
+        {
+            let cache = DiskCache::open(&dir).unwrap();
+            for (key, value) in &entries {
+                cache.put_outcome(key, value);
+            }
+        }
+        // Change one digit of the first record's stored latency: same
+        // length, still valid JSON, but not what the mapper computed.
+        let seg = std::fs::read_dir(&dir)
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path();
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let field = b"\"latency_cycles\":";
+        let at = bytes
+            .windows(field.len())
+            .position(|w| w == field)
+            .expect("stored profile has a latency")
+            + field.len();
+        bytes[at] = if bytes[at] == b'9' {
+            b'8'
+        } else {
+            bytes[at] + 1
+        };
+        assert!(bytes[at].is_ascii_digit());
+        std::fs::write(&seg, &bytes).unwrap();
+
+        let cache = DiskCache::open(&dir).unwrap();
+        assert_eq!(cache.get_outcome(&entries[0].0), None, "altered key misses");
+        for (key, value) in &entries {
+            if let Some(got) = cache.get_outcome(key) {
+                assert_eq!(&got, value, "an altered value came back");
+            }
+        }
+        drop(cache);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn two_handles_on_one_directory_lose_no_record() {
+        let dir = temp_dir("two-handles");
+        let entries = sample_entries(2);
+        let a = DiskCache::open(&dir).unwrap();
+        let b = DiskCache::open(&dir).unwrap();
+        a.put_outcome(&entries[0].0, &entries[0].1);
+        b.put_outcome(&entries[1].0, &entries[1].1);
+        assert_eq!(a.stats().write_failures, 0);
+        assert_eq!(b.stats().write_failures, 0);
+        drop((a, b));
+        let cache = DiskCache::open(&dir).unwrap();
         for (key, value) in &entries {
             assert_eq!(cache.get_outcome(key).as_ref(), Some(value));
         }
@@ -1137,7 +934,6 @@ mod tests {
             std::mem::forget(cache);
             path
         };
-        std::fs::remove_file(dir.join(INDEX_FILE)).ok();
         // Kill the append mid-record: chop 5 bytes off the tail.
         let len = std::fs::metadata(&seg_path).unwrap().len();
         let file = OpenOptions::new().write(true).open(&seg_path).unwrap();
@@ -1196,29 +992,6 @@ mod tests {
             cache.get_outcome(&entries[0].0).as_ref(),
             Some(&entries[0].1)
         );
-        drop(cache);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_index_is_rebuilt_from_segments() {
-        let dir = temp_dir("badindex");
-        let entries = sample_entries(3);
-        {
-            let cache = DiskCache::open(&dir).unwrap();
-            for (key, value) in &entries {
-                cache.put_outcome(key, value);
-            }
-        }
-        std::fs::write(dir.join(INDEX_FILE), "{ definitely not json").unwrap();
-        let cache = DiskCache::open(&dir).unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 3);
-        assert_eq!(stats.index_rebuilds, 1);
-        assert_eq!(stats.recovered_records, 3);
-        for (key, value) in &entries {
-            assert_eq!(cache.get_outcome(key).as_ref(), Some(value));
-        }
         drop(cache);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1284,18 +1057,21 @@ mod tests {
         use edse_telemetry::MemorySink;
         let dir = temp_dir("telemetry");
         let entries = sample_entries(2);
-        {
+        let seg_path = {
             let cache = DiskCache::open(&dir).unwrap();
             for (key, value) in &entries {
                 cache.put_outcome(key, value);
             }
-            std::mem::forget(cache);
-        }
-        std::fs::remove_file(dir.join(INDEX_FILE)).ok();
+            let inner = cache.inner.lock().unwrap();
+            inner.segments[0].path.clone()
+        };
+        let len = std::fs::metadata(&seg_path).unwrap().len();
+        let file = OpenOptions::new().write(true).open(&seg_path).unwrap();
+        file.set_len(len - 5).unwrap();
+        drop(file);
         let collector = Collector::builder().sink(MemorySink::new()).build();
         let cache = DiskCache::open_with(&dir, collector.clone()).unwrap();
-        assert_eq!(collector.counter_value("disk_cache/index_rebuilds"), 1);
-        assert_eq!(collector.counter_value("disk_cache/recovered_records"), 2);
+        assert_eq!(collector.counter_value("disk_cache/torn_tails"), 1);
         let _ = cache.get_outcome(&entries[0].0);
         let _ = cache.get_outcome("no such key");
         cache.put_outcome(&entries[0].0, &entries[0].1); // dedup: no append

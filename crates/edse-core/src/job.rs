@@ -129,7 +129,7 @@ impl JobSpec {
             spec.map_trials = req_usize(v, "map_trials")?;
         }
         if let Some(v) = get("seed") {
-            spec.seed = v.as_u64().ok_or("`seed` must be a number")?;
+            spec.seed = req_u64(v, "seed")?;
         }
         if let Some(v) = get("models") {
             let items = v.as_arr().ok_or("`models` must be an array")?;
@@ -176,12 +176,24 @@ fn req_str(value: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("`{key}` must be a string"))
 }
 
+/// The largest integer a JSON number (an `f64`) is guaranteed to hold
+/// exactly: 2^53.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// An integer member in `0..=2^53`. Fractions, negatives and larger
+/// magnitudes are errors rather than floored or saturated values, which
+/// would run a different search than the one submitted.
+fn req_u64(value: &Json, key: &str) -> Result<u64, String> {
+    match value {
+        Json::Num(n) if n.fract() == 0.0 && (0.0..=MAX_EXACT_INT).contains(n) => Ok(*n as u64),
+        _ => Err(format!("`{key}` must be an integer in 0..=2^53")),
+    }
+}
+
 fn req_usize(value: &Json, key: &str) -> Result<usize, String> {
-    value
-        .as_u64()
-        .map(|n| n as usize)
-        .filter(|_| value.as_f64().is_some_and(|f| f >= 0.0))
-        .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
+    req_u64(value, key).and_then(|n| {
+        usize::try_from(n).map_err(|_| format!("`{key}` does not fit this platform's usize"))
+    })
 }
 
 #[cfg(test)]
@@ -229,5 +241,19 @@ mod tests {
         assert!(JobSpec::from_json_str(r#"{"budget":"lots"}"#).is_err());
         assert!(JobSpec::from_json_str(r#"{"models":3}"#).is_err());
         assert!(JobSpec::from_json_str(r#"[1,2]"#).is_err());
+        // Numbers must be exact integers in 0..=2^53: never floored or
+        // saturated into a different search.
+        for (body, member) in [
+            (r#"{"budget":2.5}"#, "budget"),
+            (r#"{"seed":-5}"#, "seed"),
+            (r#"{"threads":1e300}"#, "threads"),
+            (r#"{"map_trials":9007199254740994}"#, "map_trials"),
+            (r#"{"checkpoint_every":-0.5}"#, "checkpoint_every"),
+        ] {
+            let err = JobSpec::from_json_str(body).expect_err(body);
+            assert!(err.contains(member), "{body}: {err}");
+        }
+        let edge = JobSpec::from_json_str(r#"{"seed":9007199254740992,"budget":0}"#).unwrap();
+        assert_eq!((edge.seed, edge.budget), (1 << 53, 0));
     }
 }

@@ -523,12 +523,12 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A corrupt (or truncated, or garbage) index file is only ever an
-    /// accelerator: the reopened cache rebuilds it by scanning the
-    /// segments, recovers every record, and the warm run is bit-identical
-    /// with a fully hot disk tier.
+    /// A stray file in the cache directory — junk under any name that is
+    /// not a segment's — is ignored: the reopened cache still finds every
+    /// record, and the warm run is bit-identical with a fully hot disk
+    /// tier.
     #[test]
-    fn corrupt_index_is_rebuilt_by_scan(
+    fn stray_file_in_the_cache_directory_is_ignored(
         junk_seed in any::<u64>(),
         junk_len in 0usize..96,
         seed in 0u64..3,
@@ -544,20 +544,19 @@ proptest! {
                 (state >> 56) as u8
             })
             .collect();
-        let dir = temp_cache_dir("badindex");
+        let dir = temp_cache_dir("stray");
         let (cold, cold_disk) = disk_cached_search(&dir, seed);
-        std::fs::write(dir.join("index.json"), &junk).unwrap();
+        std::fs::write(dir.join("stray.json"), &junk).unwrap();
 
         let (warm, warm_disk) = disk_cached_search(&dir, seed);
         assert_results_identical(&warm, &cold);
-        prop_assert!(warm_disk.index_rebuilds > 0, "the junk index must be discarded");
         prop_assert!(
-            warm_disk.recovered_records as usize >= cold_disk.entries,
-            "every record must be recovered by scan: {} < {}",
-            warm_disk.recovered_records,
+            warm_disk.entries >= cold_disk.entries,
+            "every record must be found: {} < {}",
+            warm_disk.entries,
             cold_disk.entries
         );
-        prop_assert_eq!(warm_disk.misses, 0, "a rebuilt index must serve every lookup");
+        prop_assert_eq!(warm_disk.misses, 0, "the reopened cache must serve every lookup");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -578,10 +577,6 @@ proptest! {
         let mut bytes = std::fs::read(&seg).unwrap();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&seg, &bytes).unwrap();
-        // The stale index would mask the bad header; drop it so open has
-        // to look at the segment itself (rot plus a lost index is also
-        // exactly what a half-synced copy of the directory looks like).
-        let _ = std::fs::remove_file(dir.join("index.json"));
 
         let (warm, warm_disk) = disk_cached_search(&dir, seed);
         assert_results_identical(&warm, &cold);

@@ -1,8 +1,8 @@
 //! Service-level tests: shared-cache multi-tenancy, per-job budgets,
 //! cancellation within one batch with resumable snapshots, scheduler
 //! robustness under a random pause/resume/cancel storm, determinism of a
-//! paused-and-resumed job against a straight-through run, and an HTTP
-//! smoke over a real socket.
+//! paused-and-resumed job against a straight-through run, and HTTP
+//! smokes over a real socket (including hostile request bodies).
 
 use edse_core::evaluate::EvalEngine;
 use edse_core::{CancelToken, DiskCache, JobSpec, StepOutcome};
@@ -390,6 +390,24 @@ fn http_smoke_submit_poll_metrics() {
     assert_eq!(status, 404);
     let (status, _) = http(addr, "DELETE", "/jobs", "");
     assert_eq!(status, 404);
+
+    server.stop();
+}
+
+/// A request body nested far deeper than the JSON parser's depth bound
+/// (but well under the body-size cap) is a 400, not a stack overflow
+/// that aborts the server, and the one-thread front end keeps serving.
+#[test]
+fn deeply_nested_body_is_a_client_error() {
+    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
+    let workers = registry.spawn_workers(1);
+    let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), workers).expect("start");
+    let addr = server.addr();
+
+    let (status, body) = http(addr, "POST", "/jobs", &"[".repeat(500_000));
+    assert_eq!(status, 400, "{body}");
+    let (status, _) = http(addr, "GET", "/jobs", "");
+    assert_eq!(status, 200, "the front end must keep serving");
 
     server.stop();
 }

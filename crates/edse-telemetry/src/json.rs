@@ -190,7 +190,13 @@ impl From<ParseError> for String {
     }
 }
 
-/// Parses one JSON document (e.g. one JSONL line). Rejects trailing junk.
+/// Deepest array/object nesting [`parse`] accepts (upstream serde_json's
+/// default recursion limit). The parser recurses once per level, so an
+/// unbounded depth would let one hostile input overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document (e.g. one JSONL line). Rejects trailing junk
+/// and nesting deeper than [`MAX_DEPTH`].
 ///
 /// # Errors
 ///
@@ -199,6 +205,7 @@ pub fn parse(s: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -212,6 +219,8 @@ pub fn parse(s: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -240,8 +249,12 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(ParseError::at(
+                self.pos,
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+            )),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(ParseError::at(
                 self.pos,
@@ -249,6 +262,17 @@ impl Parser<'_> {
             )),
             None => Err(ParseError::at(self.pos, "unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one nesting level down.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -421,6 +445,16 @@ mod tests {
         assert!(parse("1 2").is_err());
         assert!(parse("{\"a\"}").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

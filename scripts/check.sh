@@ -20,8 +20,9 @@ echo "==> cargo test -q"
 cargo test -q
 
 echo "==> cargo test -q -p edse-core --features validation (checked disk-cache reads)"
-# The CheckedArchive idiom: reads are trusting by default; CI exercises
-# the checksum/key-verifying read path behind the validation feature.
+# Opening a cache verifies every record's checksum; the validation
+# feature additionally re-verifies checksum and key hash on every read,
+# which catches bytes changed after open. CI exercises that path too.
 cargo test -q -p edse-core --features validation
 
 echo "==> conformance: golden fixtures, differential oracles, paper bounds"
@@ -144,6 +145,11 @@ cache="$trace_tmp/cache"
 # Cold run populates the cache; the warm rerun must be answered from disk
 # (disk_cache/hit counters in the trace) and stay byte-identical.
 "$fig04" --iters 25 --cache-dir "$cache" --out "$trace_tmp/cold.json" > /dev/null
+# Tear the newest segment's tail as a crash mid-append would: the warm
+# run must drop the torn record (disk_cache/torn_tails in the trace),
+# recompute it, and still match the cold run exactly.
+newest="$(ls "$cache"/seg-*.edc | sort | tail -n 1)"
+truncate -s -5 "$newest"
 "$fig04" --iters 25 --cache-dir "$cache" --out "$trace_tmp/warm.json" \
     --trace-out "$trace_tmp/warm.jsonl" > /dev/null
 diff "$trace_tmp/cold.json" "$trace_tmp/warm.json" || {
@@ -154,6 +160,19 @@ grep -q '"disk_cache/hit"' "$trace_tmp/warm.jsonl" || {
     echo "warm run recorded no disk-cache hits" >&2
     exit 1
 }
+grep -q '"disk_cache/torn_tails"' "$trace_tmp/warm.jsonl" || {
+    echo "warm run did not report the torn segment tail" >&2
+    exit 1
+}
+for f in "$cache"/*; do
+    case "$(basename "$f")" in
+    seg-*.edc) ;;
+    *)
+        echo "cache directory holds a non-segment file: $f" >&2
+        exit 1
+        ;;
+    esac
+done
 
 echo "==> service smoke: edse-serve --self-check (in-process e2e over HTTP)"
 # Boots the full server on an ephemeral port, runs two concurrent toy
