@@ -2,7 +2,8 @@
 //!
 //! Each scenario is a deterministic, seconds-scale exploration — every
 //! technique of the paper's comparison on the Fig. 4 toy setting
-//! ([`bench::toy`]), plus two short full-edge-space runs — reported
+//! ([`bench::toy`]), plus full-edge-space runs against ResNet-18 (two
+//! short ones, and BO and HyperMapper past the GP window) — reported
 //! through the same [`bench::BenchReport`] machinery the figure binaries
 //! use for `--json`. The serialized report (config, per-sample series,
 //! derived summary metrics) is what `golden/*.json` pins: a change in the
@@ -94,8 +95,9 @@ pub fn run_with<E: Evaluator>(
 enum Runner {
     /// One technique on the toy setting.
     Toy(TechniqueKind),
-    /// One technique on the full edge space against ResNet-18.
-    Edge(TechniqueKind),
+    /// One technique on the full edge space against ResNet-18, at the
+    /// given evaluation budget.
+    Edge(TechniqueKind, usize),
 }
 
 /// One pinned scenario: a name (also the fixture file stem) and the run
@@ -111,7 +113,7 @@ impl Scenario {
     pub fn run(&self) -> Json {
         match self.runner {
             Runner::Toy(kind) => toy_report(self.name, kind),
-            Runner::Edge(kind) => edge_report(self.name, kind),
+            Runner::Edge(kind, budget) => edge_report(self.name, kind, budget),
         }
     }
 }
@@ -142,12 +144,17 @@ fn toy_report(name: &str, kind: TechniqueKind) -> Json {
     report.to_json()
 }
 
-/// Evaluation budget of the edge-space scenarios (kept short: every point
-/// maps all of ResNet-18's unique layers).
+/// Evaluation budget of the short edge-space scenarios (every point maps
+/// all of ResNet-18's unique layers).
 const EDGE_BUDGET: usize = 12;
 
-fn edge_report(name: &str, kind: TechniqueKind) -> Json {
-    let args = scenario_args(EDGE_BUDGET);
+/// Evaluation budget of the edge-space BO scenarios: past the GP's
+/// 120-observation window, so the acquisitions after the window starts
+/// sliding are pinned in the space's full dimensionality.
+const EDGE_BO_BUDGET: usize = 130;
+
+fn edge_report(name: &str, kind: TechniqueKind, budget: usize) -> Json {
+    let args = scenario_args(budget);
     let mut report = BenchReport::new(name, &args);
     let evaluator = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper)
         .with_engine(EvalEngine::serial());
@@ -197,11 +204,19 @@ pub fn all_scenarios() -> Vec<Scenario> {
         },
         Scenario {
             name: "edge_explainable_resnet18",
-            runner: Runner::Edge(TechniqueKind::Explainable),
+            runner: Runner::Edge(TechniqueKind::Explainable, EDGE_BUDGET),
         },
         Scenario {
             name: "edge_random_resnet18",
-            runner: Runner::Edge(TechniqueKind::Random),
+            runner: Runner::Edge(TechniqueKind::Random, EDGE_BUDGET),
+        },
+        Scenario {
+            name: "edge_bayesian_resnet18_b130",
+            runner: Runner::Edge(TechniqueKind::Bayesian, EDGE_BO_BUDGET),
+        },
+        Scenario {
+            name: "edge_hypermapper_resnet18_b130",
+            runner: Runner::Edge(TechniqueKind::HyperMapper, EDGE_BO_BUDGET),
         },
     ]
 }

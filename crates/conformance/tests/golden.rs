@@ -65,11 +65,21 @@ fn edge_random_resnet18() {
     check("edge_random_resnet18");
 }
 
+#[test]
+fn edge_bayesian_resnet18_b130() {
+    check("edge_bayesian_resnet18_b130");
+}
+
+#[test]
+fn edge_hypermapper_resnet18_b130() {
+    check("edge_hypermapper_resnet18_b130");
+}
+
 /// Every registered scenario has a test above — adding a scenario without
 /// pinning it is itself a failure.
 #[test]
 fn every_scenario_is_pinned() {
-    assert_eq!(all_scenarios().len(), 10, "add a #[test] for new scenarios");
+    assert_eq!(all_scenarios().len(), 12, "add a #[test] for new scenarios");
 }
 
 /// Every committed fixture corresponds to a registered scenario, so a
