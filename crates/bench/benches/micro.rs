@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks for the building blocks the experiments
 //! lean on: cost-model evaluation, mapping-space construction, mapping
-//! optimization, bottleneck analysis, and one full DSE acquisition step.
+//! optimization, bottleneck analysis, one full DSE acquisition step, and
+//! the BO baselines' acquisition overhead.
 
 use accel_model::{AcceleratorConfig, Mapping};
+use baselines::{BaselineSession, BayesianOpt, HyperMapperLike};
 use criterion::{criterion_group, criterion_main, Criterion};
 use edse_core::bottleneck::{dnn_latency_model, LayerCtx};
 use edse_core::dse::DseConfig;
@@ -95,6 +97,28 @@ fn bench_dse(c: &mut Criterion) {
             .evaluator(&ev);
             let initial = ev.space().minimum_point();
             black_box(session.run(initial))
+        })
+    });
+}
+
+/// Black-box baseline overhead: a budget-100 BO / HyperMapper search on
+/// ResNet-18 over the edge space (fixed mapper, serial engine). The
+/// evaluator is shared across iterations and every iteration reruns the
+/// same seed, so after the first one every evaluation is a point-cache
+/// hit and the time is the technique's own acquisition work.
+fn bench_baselines(c: &mut Criterion) {
+    let ev = CodesignEvaluator::new(edge_space(), vec![zoo::resnet18()], FixedMapper)
+        .with_engine(EvalEngine::serial());
+    c.bench_function("baselines/bayesian_b100", |b| {
+        b.iter(|| {
+            let mut technique = BayesianOpt::new(1);
+            black_box(BaselineSession::new(&mut technique).run(&ev, 100))
+        })
+    });
+    c.bench_function("baselines/hypermapper_b100", |b| {
+        b.iter(|| {
+            let mut technique = HyperMapperLike::new(1);
+            black_box(BaselineSession::new(&mut technique).run(&ev, 100))
         })
     });
 }
@@ -211,6 +235,7 @@ criterion_group!(
     bench_mapping_space,
     bench_bottleneck,
     bench_dse,
+    bench_baselines,
     bench_batch_engine,
     bench_sim,
     bench_space_size,

@@ -17,12 +17,15 @@
 //! Opening scans every segment and verifies every record's checksum; the
 //! in-memory hash → location map is built from that scan, so nothing on
 //! disk is trusted unchecked. Appends are not flushed per record, so a
-//! crash can tear the tail of a segment: the scan stops at the first
-//! record that is torn or fails its checksum and **truncates the segment
-//! to the surviving prefix** (logically — the file is never modified)
-//! instead of failing. A segment whose header carries an unknown format
-//! version is skipped whole. Each such event is counted in
-//! [`DiskCacheStats`] and emitted as a `disk_cache/*` telemetry counter.
+//! crash can tear the tail of a segment: a record whose framing runs past
+//! the end of the file ends the scan, which **truncates the segment to
+//! the surviving prefix** (logically — the file is never modified)
+//! instead of failing. A record whose frame lies inside the file but
+//! fails its checksum or decode is skipped on its own and the scan goes
+//! on after it, so one damaged record costs only itself. A segment whose
+//! header carries an unknown format version is skipped whole. Each such
+//! event is counted in [`DiskCacheStats`] and emitted as a `disk_cache/*`
+//! telemetry counter.
 //!
 //! # Trusting vs. checked reads
 //!
@@ -158,8 +161,12 @@ pub struct DiskCacheStats {
     pub misses: u64,
     /// Records appended by this process.
     pub appends: u64,
-    /// Segments whose scan stopped early at a torn or corrupt record.
+    /// Segments whose scan stopped early at a torn tail: a record whose
+    /// framing runs past the end of the file.
     pub torn_tails: u64,
+    /// Whole records skipped at open for failing their checksum or decode
+    /// (the rest of their segment is still read).
+    pub corrupt_records: u64,
     /// Segments skipped whole for carrying an unknown format version.
     pub skipped_segments: u64,
     /// Records evicted after failing a read-time check.
@@ -227,6 +234,7 @@ pub struct DiskCache {
     misses: AtomicU64,
     appends: AtomicU64,
     torn_tails: AtomicU64,
+    corrupt_records: AtomicU64,
     skipped_segments: AtomicU64,
     read_errors: AtomicU64,
     write_failures: AtomicU64,
@@ -256,7 +264,7 @@ impl DiskCache {
 
     /// [`DiskCache::open`] with a telemetry collector: the cache then
     /// emits `disk_cache/{hit,miss,append}` traffic counters and
-    /// `disk_cache/{torn_tails,skipped_segments,read_errors,write_failures}`
+    /// `disk_cache/{torn_tails,corrupt_records,skipped_segments,read_errors,write_failures}`
     /// recovery counters, plus one warning log per recovery or I/O event.
     ///
     /// # Errors
@@ -279,6 +287,7 @@ impl DiskCache {
             misses: AtomicU64::new(0),
             appends: AtomicU64::new(0),
             torn_tails: AtomicU64::new(0),
+            corrupt_records: AtomicU64::new(0),
             skipped_segments: AtomicU64::new(0),
             read_errors: AtomicU64::new(0),
             write_failures: AtomicU64::new(0),
@@ -321,6 +330,7 @@ impl DiskCache {
             misses: self.misses.load(Ordering::Relaxed),
             appends: self.appends.load(Ordering::Relaxed),
             torn_tails: self.torn_tails.load(Ordering::Relaxed),
+            corrupt_records: self.corrupt_records.load(Ordering::Relaxed),
             skipped_segments: self.skipped_segments.load(Ordering::Relaxed),
             read_errors: self.read_errors.load(Ordering::Relaxed),
             write_failures: self.write_failures.load(Ordering::Relaxed),
@@ -377,22 +387,36 @@ impl DiskCache {
                 );
                 continue;
             }
-            let (records, end, torn) = scan_records(&mut reader, file_len);
+            let scan = scan_records(&mut reader, file_len);
             let seg = inner.segments.len();
-            for (hash, offset, len) in records {
+            for (hash, offset, len) in scan.records {
                 inner.index.entry(hash).or_insert(Loc { seg, offset, len });
             }
-            if torn {
+            for offset in scan.corrupt {
+                self.event(
+                    "corrupt_records",
+                    &self.corrupt_records,
+                    &format!(
+                        "{}: skipped corrupt record at byte {offset}",
+                        path.display()
+                    ),
+                );
+            }
+            if scan.torn {
                 self.event(
                     "torn_tails",
                     &self.torn_tails,
-                    &format!("{}: truncated torn tail at byte {end}", path.display()),
+                    &format!(
+                        "{}: truncated torn tail at byte {}",
+                        path.display(),
+                        scan.end
+                    ),
                 );
             }
             inner.segments.push(Segment {
                 path,
                 file,
-                len: end,
+                len: scan.end,
             });
         }
         Ok(())
@@ -631,38 +655,62 @@ fn decode_body(body: &[u8]) -> Result<(u64, &[u8], &[u8]), String> {
     Ok((hash, key, value))
 }
 
+/// What [`scan_records`] found in one segment.
+struct Scan {
+    /// Valid `(hash, offset, total_len)` triples.
+    records: Vec<(u64, u64, u32)>,
+    /// Byte offset scanning stopped at: the segment's readable length.
+    end: u64,
+    /// Whether the scan stopped early on framing that runs past the end
+    /// of the file.
+    torn: bool,
+    /// Offsets of whole records skipped for failing their checksum or
+    /// decode.
+    corrupt: Vec<u64>,
+}
+
 /// Scans the records following a segment header (the reader sits just
-/// past it), verifying each checksum. Returns the valid
-/// `(hash, offset, total_len)` triples, the byte offset scanning stopped
-/// at, and whether it stopped early on a torn or corrupt record.
-fn scan_records(reader: &mut impl Read, file_len: u64) -> (Vec<(u64, u64, u32)>, u64, bool) {
-    let mut records = Vec::new();
-    let mut offset = HEADER_LEN;
+/// past it), verifying each checksum. A record whose frame lies wholly
+/// inside the file but fails its checksum or decode is skipped, and the
+/// scan continues after it; only framing that runs past the end of the
+/// file ends the scan as a torn tail.
+fn scan_records(reader: &mut impl Read, file_len: u64) -> Scan {
+    let mut scan = Scan {
+        records: Vec::new(),
+        end: HEADER_LEN,
+        torn: false,
+        corrupt: Vec::new(),
+    };
     let mut frame = Vec::new();
-    while offset < file_len {
+    while scan.end < file_len {
+        let offset = scan.end;
         let mut len_buf = [0u8; 4];
         if file_len - offset < FRAME_LEN || reader.read_exact(&mut len_buf).is_err() {
-            return (records, offset, true);
+            scan.torn = true;
+            break;
         }
         let body_len = u32::from_le_bytes(len_buf) as u64;
-        if body_len < MIN_BODY as u64 || offset + FRAME_LEN + body_len > file_len {
-            return (records, offset, true);
+        if offset + FRAME_LEN + body_len > file_len {
+            scan.torn = true;
+            break;
         }
         frame.resize(body_len as usize + 4, 0);
         if reader.read_exact(&mut frame).is_err() {
-            return (records, offset, true);
+            scan.torn = true;
+            break;
         }
+        scan.end = offset + FRAME_LEN + body_len;
         let (body, sum) = frame.split_at(body_len as usize);
-        if checksum(body) != u32::from_le_bytes(sum.try_into().expect("4 bytes")) {
-            return (records, offset, true);
+        let sum_ok = checksum(body) == u32::from_le_bytes(sum.try_into().expect("4 bytes"));
+        match decode_body(body) {
+            Ok((hash, _, _)) if sum_ok => {
+                scan.records
+                    .push((hash, offset, (FRAME_LEN + body_len) as u32));
+            }
+            _ => scan.corrupt.push(offset),
         }
-        let Ok((hash, _, _)) = decode_body(body) else {
-            return (records, offset, true);
-        };
-        records.push((hash, offset, (FRAME_LEN + body_len) as u32));
-        offset += FRAME_LEN + body_len;
     }
-    (records, offset, false)
+    scan
 }
 
 /// Reads one record at `loc`, returning `(hash, key, value)`. Trusting
@@ -856,19 +904,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn altered_value_is_never_returned() {
-        let dir = temp_dir("altered");
-        let entries = sample_entries(3);
+    /// Fills a fresh cache at `dir` with `entries`, then changes one digit
+    /// of the first record's stored latency: same length, still valid
+    /// JSON, but not what the mapper computed.
+    fn write_then_alter_first_latency(dir: &Path, entries: &[(String, StoredLayer)]) {
         {
-            let cache = DiskCache::open(&dir).unwrap();
-            for (key, value) in &entries {
+            let cache = DiskCache::open(dir).unwrap();
+            for (key, value) in entries {
                 cache.put_outcome(key, value);
             }
         }
-        // Change one digit of the first record's stored latency: same
-        // length, still valid JSON, but not what the mapper computed.
-        let seg = std::fs::read_dir(&dir)
+        let seg = std::fs::read_dir(dir)
             .unwrap()
             .next()
             .unwrap()
@@ -888,6 +934,13 @@ mod tests {
         };
         assert!(bytes[at].is_ascii_digit());
         std::fs::write(&seg, &bytes).unwrap();
+    }
+
+    #[test]
+    fn altered_value_is_never_returned() {
+        let dir = temp_dir("altered");
+        let entries = sample_entries(3);
+        write_then_alter_first_latency(&dir, &entries);
 
         let cache = DiskCache::open(&dir).unwrap();
         assert_eq!(cache.get_outcome(&entries[0].0), None, "altered key misses");
@@ -895,6 +948,25 @@ mod tests {
             if let Some(got) = cache.get_outcome(key) {
                 assert_eq!(&got, value, "an altered value came back");
             }
+        }
+        drop(cache);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_corrupt_record_keeps_the_rest_of_its_segment() {
+        let dir = temp_dir("corrupt-record");
+        let entries = sample_entries(3);
+        write_then_alter_first_latency(&dir, &entries);
+
+        let cache = DiskCache::open(&dir).unwrap();
+        let stats = cache.stats();
+        assert_eq!(stats.entries, 2, "only the altered record is dropped");
+        assert_eq!(stats.torn_tails, 0);
+        assert_eq!(stats.corrupt_records, 1);
+        assert_eq!(cache.get_outcome(&entries[0].0), None, "altered key misses");
+        for (key, value) in &entries[1..] {
+            assert_eq!(cache.get_outcome(key).as_ref(), Some(value));
         }
         drop(cache);
         std::fs::remove_dir_all(&dir).unwrap();

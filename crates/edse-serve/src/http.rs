@@ -14,6 +14,12 @@ use std::net::TcpStream;
 /// [`JobSpec`]: edse_core::JobSpec
 const MAX_BODY: usize = 1 << 20;
 
+/// Longest request line or header line the server will buffer.
+const MAX_HEAD_LINE: u64 = 8 * 1024;
+
+/// Most header lines one request may carry.
+const MAX_HEADERS: usize = 100;
+
 /// One parsed request: method, path (query strings are not used by this
 /// API and are kept attached), and body.
 #[derive(Debug)]
@@ -26,37 +32,91 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Reads and parses one request from the stream. Returns `None` on a
-/// malformed or oversized request (the caller answers 400 and closes).
-pub fn read_request(stream: &mut TcpStream) -> Option<Request> {
+/// Why a request was refused before routing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestError {
+    /// Unreadable or unparseable request line, header or body.
+    Malformed,
+    /// A request line or header line longer than 8 KiB, or more than 100
+    /// header lines.
+    HeadTooLarge,
+    /// A `Content-Length` over the 1 MiB body limit.
+    BodyTooLarge,
+}
+
+impl RequestError {
+    /// The status the server answers with.
+    pub fn status(self) -> u16 {
+        match self {
+            RequestError::Malformed => 400,
+            RequestError::HeadTooLarge => 431,
+            RequestError::BodyTooLarge => 413,
+        }
+    }
+
+    /// A short description for the error body.
+    pub fn message(self) -> &'static str {
+        match self {
+            RequestError::Malformed => "malformed request",
+            RequestError::HeadTooLarge => "request head too large",
+            RequestError::BodyTooLarge => "request body too large",
+        }
+    }
+}
+
+/// Reads and parses one request from the stream. The request line and
+/// each header line are read through an 8 KiB cap, at most 100 header
+/// lines are read, and a body only up to 1 MiB, so no request makes the
+/// server buffer more.
+pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
+    let line = read_head_line(&mut reader)?;
     let mut parts = line.split_whitespace();
-    let method = parts.next()?.to_uppercase();
-    let path = parts.next()?.to_string();
+    let method = parts.next().ok_or(RequestError::Malformed)?.to_uppercase();
+    let path = parts.next().ok_or(RequestError::Malformed)?.to_string();
     let mut content_length = 0usize;
+    let mut headers = 0;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).ok()?;
+        let header = read_head_line(&mut reader)?;
         let header = header.trim();
         if header.is_empty() {
             break;
         }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(RequestError::HeadTooLarge);
+        }
         if let Some((name, value)) = header.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok()?;
+                content_length = value.trim().parse().map_err(|_| RequestError::Malformed)?;
             }
         }
     }
     if content_length > MAX_BODY {
-        return None;
+        return Err(RequestError::BodyTooLarge);
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 {
-        reader.read_exact(&mut body).ok()?;
+        reader
+            .read_exact(&mut body)
+            .map_err(|_| RequestError::Malformed)?;
     }
-    Some(Request { method, path, body })
+    Ok(Request { method, path, body })
+}
+
+/// Reads one head line, newline included (a line cut short by the end of
+/// the stream comes back as is). A line that reaches [`MAX_HEAD_LINE`]
+/// bytes without a newline is refused.
+fn read_head_line(reader: &mut impl BufRead) -> Result<String, RequestError> {
+    let mut line = Vec::new();
+    reader
+        .take(MAX_HEAD_LINE)
+        .read_until(b'\n', &mut line)
+        .map_err(|_| RequestError::Malformed)?;
+    if line.len() as u64 == MAX_HEAD_LINE && line.last() != Some(&b'\n') {
+        return Err(RequestError::HeadTooLarge);
+    }
+    String::from_utf8(line).map_err(|_| RequestError::Malformed)
 }
 
 /// Writes a complete fixed-length response and flushes.
@@ -68,6 +128,8 @@ pub fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &s
         404 => "Not Found",
         405 => "Method Not Allowed",
         409 => "Conflict",
+        413 => "Content Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     };
     let head = format!(

@@ -150,11 +150,10 @@ fn error_body(message: &str) -> String {
 
 /// Handles one connection: one request, one response, close.
 fn handle(stream: &mut TcpStream, registry: &Registry) {
-    let Some(request) = read_request(stream) else {
-        respond_json(stream, 400, &error_body("malformed request"));
-        return;
-    };
-    route(stream, &request, registry);
+    match read_request(stream) {
+        Ok(request) => route(stream, &request, registry),
+        Err(e) => respond_json(stream, e.status(), &error_body(e.message())),
+    }
 }
 
 /// The route table.

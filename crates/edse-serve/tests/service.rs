@@ -16,6 +16,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("edse-serve-test-{tag}-{}", std::process::id()));
@@ -406,6 +407,53 @@ fn deeply_nested_body_is_a_client_error() {
 
     let (status, body) = http(addr, "POST", "/jobs", &"[".repeat(500_000));
     assert_eq!(status, 400, "{body}");
+    let (status, _) = http(addr, "GET", "/jobs", "");
+    assert_eq!(status, 200, "the front end must keep serving");
+
+    server.stop();
+}
+
+/// Sends `raw` as is and reads the response status, on a client that
+/// gives up after `timeout` rather than hanging on a server that never
+/// answers.
+fn raw_status(addr: std::net::SocketAddr, raw: &[u8], timeout: Duration) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(timeout)).unwrap();
+    stream.write_all(raw).expect("send");
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n") {
+        match stream.read(&mut byte) {
+            Ok(1) => head.push(byte[0]),
+            Ok(_) => break,
+            Err(e) => panic!("no response: {e}"),
+        }
+    }
+    let line = String::from_utf8_lossy(&head);
+    line.split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line {line:?}"))
+}
+
+/// A request line that never ends is cut off at the head-line cap with a
+/// 431 instead of growing the server's buffer until the client gives up;
+/// too many headers are a 431 and an oversized body a 413. The one-thread
+/// front end keeps serving.
+#[test]
+fn oversized_request_heads_and_bodies_are_refused() {
+    let registry = Registry::new(EvalEngine::serial(), None, None, Collector::noop());
+    let workers = registry.spawn_workers(1);
+    let server = Server::start("127.0.0.1:0", 1, Arc::clone(&registry), workers).expect("start");
+    let addr = server.addr();
+    let timeout = Duration::from_secs(10);
+
+    let endless_line = format!("GET /{}", "a".repeat(64 * 1024));
+    assert_eq!(raw_status(addr, endless_line.as_bytes(), timeout), 431);
+    let many_headers = format!("GET /jobs HTTP/1.1\r\n{}\r\n", "X-A: b\r\n".repeat(101));
+    assert_eq!(raw_status(addr, many_headers.as_bytes(), timeout), 431);
+    let big_body = "POST /jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n";
+    assert_eq!(raw_status(addr, big_body.as_bytes(), timeout), 413);
     let (status, _) = http(addr, "GET", "/jobs", "");
     assert_eq!(status, 200, "the front end must keep serving");
 
